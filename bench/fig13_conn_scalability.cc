@@ -150,10 +150,6 @@ class ScaleIsland {
   static core::DatapathConfig scale_config(std::uint32_t conns) {
     core::DatapathConfig cfg;
     cfg.max_conns = conns;
-    // The scale-out engine under test; kAuto would pick it anyway at
-    // >= 100k conns per island, but the curve should exercise one
-    // engine across all population sizes.
-    cfg.timer = core::TimerImpl::kWheel;
     return cfg;
   }
 

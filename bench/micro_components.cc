@@ -1,6 +1,6 @@
 // Microbenchmarks for the hot substrate components: packet
 // serialization/parsing, checksums, flow hashing, reorder buffers, OOO
-// trackers, byte rings, and the Carousel time wheel. These guard
+// trackers, byte rings, and the timing-wheel flow scheduler. These guard
 // simulator performance (host-side, wall-clock) rather than reproducing
 // paper rows. One series; rows are components with ns/op statistics over
 // `--repeats` timed runs (first run is warmup).
@@ -12,7 +12,7 @@
 #include "harness.hpp"
 #include "net/checksum.hpp"
 #include "net/packet.hpp"
-#include "sched/carousel.hpp"
+#include "sched/timing_wheel.hpp"
 #include "sim/domain.hpp"
 #include "tcp/byte_ring.hpp"
 #include "tcp/flow.hpp"
@@ -134,19 +134,19 @@ BENCH_SCENARIO(micro, "host-side component costs (ns/op)") {
     return ns;
   });
 
-  record("carousel_trigger", [&](int) {
+  record("wheel_trigger", [&](int) {
     sim::Domain ev;
-    sched::Carousel car(ev);
+    sched::TimingWheel whl(ev);
     std::uint64_t sent = 0;
-    car.set_trigger([&sent](std::uint32_t) -> std::uint32_t {
+    whl.set_trigger([&sent](std::uint32_t) -> std::uint32_t {
       ++sent;
       return 1448;
     });
-    car.set_rate(1, 0);
-    car.update_avail(1, 1ull << 40);
+    whl.set_rate(1, 0);
+    whl.update_avail(1, 1ull << 40);
     const double ns = time_ns_per_op(iters, [&](std::uint64_t) {
       // Each step services pending scheduler events.
-      if (!ev.step()) car.kick(1);
+      if (!ev.step()) whl.kick(1);
     });
     keep(sent);
     return ns;

@@ -2,7 +2,7 @@
 // sends 64 KB RPCs over many connections toward a server behind a shaped
 // switch port (incast degree d -> 40/d Gbps) with WRED tail drops and ECN
 // marking. Control-plane-driven DCTCP paces the offloaded flows through
-// Carousel; the ablation turns that off (scheduler runs unpaced). Two
+// the flow scheduler; the ablation turns that off (unpaced). Two
 // series (cc_on / cc_off); rows are "<degree>/<conns>" cases. The
 // inverted topology (stack under test on the sender side) comes from the
 // workload engine's stack_hosts_clients mode.

@@ -29,14 +29,6 @@ struct StageCosts {
   std::uint32_t ctx_op = 55;     // doorbell poll / notify
 };
 
-// Flow-scheduler engine selection (both implement sched::TimerService
-// with identical trigger semantics; see src/sched/timer_service.hpp).
-enum class TimerImpl {
-  kAuto,      // carousel below timer_wheel_threshold conns, wheel above
-  kCarousel,  // single-level wheel + unordered_map (low-count sweet spot)
-  kWheel,     // hierarchical timing wheel, flat flow storage (1M+ conns)
-};
-
 struct DatapathConfig {
   // --- Parallelism (Table 3 ablation knobs) ---
   // false: run the whole data-path to completion on a single FPC.
@@ -88,14 +80,8 @@ struct DatapathConfig {
   // event order.
   unsigned batch_size = 0;
 
-  // --- Flow scheduler (SCH engine) ---
-  TimerImpl timer = TimerImpl::kAuto;
-  // kAuto crossover: max_conns at or above this selects the wheel. The
-  // default keeps every preset (max_conns 64K) on the carousel.
-  std::uint32_t timer_wheel_threshold = 100'000;
-
   // --- Extensions (Table 2) ---
-  bool profiling = false;           // 48 tracepoints enabled
+  bool profiling = false;  // statistics & profiling extension enabled
   std::uint32_t profile_cycles = 35;  // extra cycles per stage when on
 
   double mac_gbps = 40.0;  // Agilio CX40 line rate

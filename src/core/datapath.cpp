@@ -9,8 +9,6 @@
 #include <utility>
 
 #include "core/batch.hpp"
-#include "sched/carousel.hpp"
-#include "sched/timing_wheel.hpp"
 
 namespace flextoe::core {
 
@@ -51,60 +49,25 @@ pipeline::Graph::Handlers Datapath::make_handlers() {
   return h;
 }
 
-std::unique_ptr<sched::TimerService> Datapath::make_scheduler(
-    sim::Domain& ev, const DatapathConfig& cfg) {
-  const bool wheel =
-      cfg.timer == TimerImpl::kWheel ||
-      (cfg.timer == TimerImpl::kAuto &&
-       cfg.max_conns >= cfg.timer_wheel_threshold);
-  if (wheel) return std::make_unique<sched::TimingWheel>(ev);
-  return std::make_unique<sched::Carousel>(ev);
-}
-
 Datapath::Datapath(sim::Domain& ev, DatapathConfig cfg, HostIface host)
     : ev_(ev),
       cfg_(cfg),
       host_(std::move(host)),
       dma_(ev, cfg.dma),
-      sched_(make_scheduler(ev, cfg)),
+      sched_(ev),
       table_(std::max(1u, cfg.flow_groups), cfg.max_conns) {
   batch_ = resolve_batch(cfg_.batch_size);
   graph_ = std::make_unique<pipeline::Graph>(ev_, cfg_, dma_,
                                              make_handlers());
 
-  sched_->set_trigger([this](std::uint32_t conn) {
+  sched_.set_trigger([this](std::uint32_t conn) {
     return tx_trigger(conn);
   });
-
-  // The paper's 48 tracepoints (§5.1): transport events, inter-module
-  // queue occupancies, critical-section lengths.
-  static const char* kEvents[] = {"drop", "ooo", "retx", "fretx", "ack",
-                                  "rx", "tx", "hc", "notify", "dma",
-                                  "winupd", "fin"};
-  for (const char* e : kEvents) {
-    trace_.register_point(std::string("event/") + e);
-  }
-  for (const char* s : {"pre", "proto", "post", "dma", "ctx", "sch"}) {
-    trace_.register_point(std::string("queue/") + s);
-    trace_.register_point(std::string("crit/") + s);
-  }
-  for (const char* s : {"rx", "tx", "hc", "ack", "win", "pos"}) {
-    trace_.register_point(std::string("proto/") + s);
-    trace_.register_point(std::string("lat/") + s);
-    trace_.register_point(std::string("cnt/") + s);
-    trace_.register_point(std::string("err/") + s);
-  }
-  tp_rx_ = trace_.register_point("event/rx");
-  tp_tx_ = trace_.register_point("event/tx");
-  tp_ooo_ = trace_.register_point("event/ooo");
-  tp_drop_ = trace_.register_point("event/drop");
-  tp_fretx_ = trace_.register_point("event/fretx");
-  tp_ack_ = trace_.register_point("event/ack");
 
   graph_->bind_telemetry(telem_);
   t_host_notify_ = telem_.counter("hostq/notify");
   dma_.bind_telemetry(telem_, "dma");
-  sched_->bind_telemetry(telem_, "sched");
+  sched_.bind_telemetry(telem_, "sched");
   table_.bind_telemetry(telem_, "flowtab");
   pkt_pool_.bind_telemetry(telem_, "pool/pkt");
 }
@@ -116,7 +79,6 @@ Datapath::~Datapath() { *alive_ = false; }
 void Datapath::count_drop_legacy(DropReason r) {
   (void)r;  // taxonomy counters live in the graph
   ++drops_;
-  trace_.hit(tp_drop_);
 }
 
 unsigned Datapath::total_fpcs() const { return graph_->total_fpcs(); }
@@ -157,13 +119,13 @@ ConnId Datapath::install_flow(const FlowInstall& ins) {
   rec.snd_max = fs.proto.seq;
   rec.high_rtx = fs.proto.seq;
   if (local_mac_.to_u64() == 0) local_mac_ = ins.local_mac;
-  sched_->set_rate(conn, 0);  // uncongested until the CC loop speaks
+  sched_.set_rate(conn, 0);  // uncongested until the CC loop speaks
   return conn;
 }
 
 void Datapath::remove_flow(ConnId conn) {
   if (!table_.erase(conn)) return;
-  sched_->remove_flow(conn);
+  sched_.remove_flow(conn);
 }
 
 bool Datapath::flow_valid(ConnId conn) const { return table_.valid(conn); }
@@ -192,11 +154,11 @@ void Datapath::set_rate(ConnId conn, std::uint64_t bytes_per_sec) {
     rec->fs.post.rate = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(bytes_per_sec, 0xFFFFFFFF));
   }
-  sched_->set_rate(conn, bytes_per_sec);
+  sched_.set_rate(conn, bytes_per_sec);
 }
 
 std::size_t Datapath::conn_bytes_reserved() const {
-  return table_.bytes_reserved() + sched_->footprint_bytes();
+  return table_.bytes_reserved() + sched_.footprint_bytes();
 }
 
 host::CtxQueue& Datapath::hc_queue(std::uint16_t ctx_id) {
@@ -244,7 +206,6 @@ void Datapath::clear_xdp_programs() {
 
 void Datapath::set_profiling(bool on) {
   cfg_.profiling = on;  // the graph reads the live config
-  trace_.set_enabled(on);
 }
 
 // --------------------------------------------------------------- MAC RX
@@ -285,7 +246,6 @@ void Datapath::deliver(const net::PacketPtr& pkt) {
     return;
   }
   ++rx_segments_;
-  trace_.hit(tp_rx_);
 
   auto ctx = ctx_pool_.acquire();
   ctx->kind = SegCtx::Kind::Rx;
@@ -329,7 +289,6 @@ void Datapath::deliver_burst(std::span<const net::PacketPtr> pkts) {
         continue;
       }
       ++rx_segments_;
-      trace_.hit(tp_rx_);
       auto ctx = ctx_pool_.acquire();
       ctx->kind = SegCtx::Kind::Rx;
       ctx->pkt = pkt;
@@ -486,7 +445,7 @@ void Datapath::sched_resync(ConnId conn, const ConnRecord& rec) {
   const std::uint64_t pend = rec.pending_planned;
   const std::uint64_t avail = rec.fs.proto.tx_avail;
   const std::uint64_t untrig = avail > pend ? avail - pend : 0;
-  sched_->update_avail(conn, untrig);
+  sched_.update_avail(conn, untrig);
 }
 
 // --------------------------------------------------------- protocol stage
@@ -553,7 +512,6 @@ void Datapath::proto_rx(ConnRecord& rec, const SegCtxPtr& ctx) {
         rec.high_rtx = rec.snd_max;
         snap.fast_retransmit = true;
         ++fast_retransmits_;
-        trace_.hit(tp_fretx_);
         // Reset transmission state to the last ACKed position.
         p.seq = snd_una;
         p.tx_pos -= p.tx_sent;
@@ -569,7 +527,6 @@ void Datapath::proto_rx(ConnRecord& rec, const SegCtxPtr& ctx) {
     const auto r = p.ooo.on_segment(p.ack, s.seq, s.payload_len, p.rx_avail);
     if (r.buf_offset > 0) {
       ++ooo_segments_;
-      trace_.hit(tp_ooo_);
     }
     if (r.accept && r.accept_len > 0) {
       snap.accept_payload = true;
@@ -667,7 +624,6 @@ void Datapath::proto_tx(ConnRecord& rec, const SegCtxPtr& ctx) {
   rec.snd_max = seq_ge(p.seq, rec.snd_max) ? p.seq : rec.snd_max;
   if (planned != len) sched_resync(conn, rec);
   snap.egress_seq = graph_->next_egress(ctx->flow_group);
-  trace_.hit(tp_tx_);
 
   graph_->to_post(ctx);
 }
@@ -845,7 +801,6 @@ void Datapath::stage_dma(const SegCtxPtr& ctx) {
       graph_->record_pipe_total(*ctx);  // payload has landed in the host
       if (ctx->ack_pkt) {
         ++acks_sent_;
-        trace_.hit(tp_ack_);
         auto ack_ctx = ctx_pool_.acquire();
         ack_ctx->kind = SegCtx::Kind::Rx;
         ack_ctx->pkt = ctx->ack_pkt;

@@ -7,10 +7,10 @@
 //
 // Host control (HC) descriptors enter via MMIO doorbells and flow through
 // the same pipeline (Fig 4); transmissions are triggered by the flow
-// scheduler (Fig 5) — Carousel or the hierarchical timing wheel, per
-// DatapathConfig::timer; receives follow Fig 6. Segments are one-shot:
-// never buffered on the NIC — payload moves directly between the wire and
-// host per-socket payload buffers via DMA.
+// scheduler (Fig 5, a hierarchical timing wheel); receives follow
+// Fig 6. Segments are one-shot: never buffered on the NIC — payload
+// moves directly between the wire and host per-socket payload buffers
+// via DMA.
 //
 // The pipeline *structure* — stage nodes, replica selection, flow-group
 // islands, reorder points, the run-to-completion gate, drop taxonomy and
@@ -41,9 +41,8 @@
 #include "nfp/dma.hpp"
 #include "pipeline/graph.hpp"
 #include "pipeline/pool.hpp"
-#include "sched/timer_service.hpp"
+#include "sched/timing_wheel.hpp"
 #include "sim/domain.hpp"
-#include "sim/trace.hpp"
 #include "telemetry/registry.hpp"
 #include "xdp/xdp.hpp"
 
@@ -124,7 +123,8 @@ class Datapath : public net::PacketSink {
   // ---- Extensions ----
   void add_xdp_program(xdp::XdpProgramPtr prog);
   void clear_xdp_programs();
-  sim::TraceRegistry& trace() { return trace_; }
+  // Statistics & profiling extension (Table 2): charges every stage
+  // DatapathConfig::profile_cycles extra while on.
   void set_profiling(bool on);
 
   // ---- Telemetry ----
@@ -158,9 +158,8 @@ class Datapath : public net::PacketSink {
   std::uint64_t fast_retransmits() const { return fast_retransmits_; }
   std::uint64_t ooo_segments() const { return ooo_segments_; }
   const ProtoState* proto_state(tcp::ConnId conn) const;
-  // The flow-scheduler engine behind this data-path (carousel or
-  // hierarchical wheel, per DatapathConfig::timer).
-  sched::TimerService& scheduler() { return *sched_; }
+  // The flow scheduler (SCH) behind this data-path.
+  sched::TimingWheel& scheduler() { return sched_; }
   // The sharded flow-state table (footprint audit, scale tests).
   FlowTable& flow_table() { return table_; }
   const FlowTable& flow_table() const { return table_; }
@@ -207,8 +206,6 @@ class Datapath : public net::PacketSink {
   void count_kernel_path();
   void count_not_local();
   pipeline::Graph::Handlers make_handlers();
-  static std::unique_ptr<sched::TimerService> make_scheduler(
-      sim::Domain& ev, const DatapathConfig& cfg);
 
   sim::Domain& ev_;
   telemetry::Registry telem_;
@@ -217,9 +214,7 @@ class Datapath : public net::PacketSink {
   net::PacketSink* mac_sink_ = nullptr;
 
   nfp::DmaEngine dma_;
-  // Flow-scheduler engine (SCH): Carousel or hierarchical TimingWheel,
-  // selected by cfg_.timer (see make_scheduler).
-  std::unique_ptr<sched::TimerService> sched_;
+  sched::TimingWheel sched_;
   // The stage graph (built from cfg_; destroyed before dma_/sched_).
   std::unique_ptr<pipeline::Graph> graph_;
   // Pooled segment-context allocation (one recycled block per segment).
@@ -247,9 +242,6 @@ class Datapath : public net::PacketSink {
   std::size_t batch_ = 1;
 
   std::vector<xdp::XdpProgramPtr> xdp_programs_;
-  sim::TraceRegistry trace_;
-  std::uint32_t tp_rx_ = 0, tp_tx_ = 0, tp_ooo_ = 0, tp_drop_ = 0,
-                tp_fretx_ = 0, tp_ack_ = 0;
 
   telemetry::Counter* t_host_notify_ = nullptr;
   // MAC filter counters, registered lazily on first hit so default

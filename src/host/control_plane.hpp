@@ -3,7 +3,7 @@
 // Handles everything that is not per-segment data-path work: connection
 // control (handshake, teardown, data-path state installation), the
 // congestion-control loop (reads per-flow stats from the data-path,
-// programs Carousel rates), and retransmission-timeout monitoring. Runs
+// programs flow-scheduler rates), and retransmission-timeout monitoring. Runs
 // in its own protection domain on the host (or on SmartNIC control
 // cores — modeled as a latency difference).
 #pragma once

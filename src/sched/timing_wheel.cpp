@@ -1,8 +1,6 @@
 // TimingWheel implementation (see timing_wheel.hpp): flat per-flow
-// storage, intrusive per-slot doubly-linked lists, cascading levels.
-// The pump/service machinery is a faithful transcription of
-// Carousel's, so the two engines are fire-order equivalent within the
-// Carousel's horizon (differential-tested).
+// storage, intrusive per-slot doubly-linked lists, cascading levels,
+// ready-queue round-robin and one trigger per SCH service interval.
 #include "sched/timing_wheel.hpp"
 
 #include <algorithm>
@@ -99,8 +97,8 @@ void TimingWheel::remove_flow(FlowId flow) {
   if (flow >= flows_.size() || !flows_[flow].touched) return;
   Flow& st = flows_[flow];
   if (st.in_wheel) {
-    // O(1) cancel — the Carousel's lazy-skip equivalent, minus the dead
-    // residency. Close the queued span so every begin pairs.
+    // O(1) cancel: no dead entry is left in the slot. Close the queued
+    // span so every begin pairs.
     unlink(flow);
     st.queued = false;
     if (trace::Ring* r = ev_.trace_ring()) {
@@ -111,7 +109,7 @@ void TimingWheel::remove_flow(FlowId flow) {
     }
   }
   // If the flow sits in the ready deque it is skipped lazily at
-  // service_one, exactly as in Carousel.
+  // service_one.
   st.dead = true;
   st.avail = 0;
 }
@@ -142,8 +140,7 @@ void TimingWheel::file(FlowId flow, std::uint64_t off) {
   // Level k covers offsets [S^k, S^(k+1)). Offsets beyond the total
   // horizon park at most horizon - 1 ahead in the top level and re-file
   // at each cascade by the flow's stored due tick until the remaining
-  // delta fits: unlike Carousel's single-level clamp, far deadlines
-  // fire at their true time, never early.
+  // delta fits: far deadlines fire at their true time, never early.
   std::uint32_t level = 0;
   while (level + 1 < params_.levels && off >= stride_[level + 1]) ++level;
   const std::uint64_t target =
@@ -155,15 +152,30 @@ void TimingWheel::file(FlowId flow, std::uint64_t off) {
   Flow& st = flows_[flow];
   st.in_wheel = true;
   st.slot = idx;
-  st.next = kNil;
   SlotList& list = slots_[idx];
-  st.prev = list.tail;
-  if (list.tail == kNil) {
+  // A level-0 list holds the flows due on one tick; keep it in arm
+  // order so same-tick ties fire first-armed-first. Natives arrive in
+  // arm order and append; only a cascaded flow walks back past natives
+  // armed after it. Higher-level lists are re-filed anyway.
+  std::uint32_t after = list.tail;
+  if (level == 0) {
+    while (after != kNil &&
+           static_cast<std::int32_t>(flows_[after].arm_seq - st.arm_seq) > 0) {
+      after = flows_[after].prev;
+    }
+  }
+  st.prev = after;
+  st.next = after == kNil ? list.head : flows_[after].next;
+  if (st.prev == kNil) {
     list.head = flow;
   } else {
-    flows_[list.tail].next = flow;
+    flows_[st.prev].next = flow;
   }
-  list.tail = flow;
+  if (st.next == kNil) {
+    list.tail = flow;
+  } else {
+    flows_[st.next].prev = flow;
+  }
   ++wheel_count_;
 }
 
@@ -210,9 +222,9 @@ void TimingWheel::enqueue_wheel(FlowId flow, sim::TimePs deadline) {
     return;
   }
   // The due tick is quantized once, here — cascades re-file by the
-  // stored tick, never re-quantize, so the fire tick is exact (and
-  // matches Carousel's single-computation slot within its horizon).
+  // stored tick, never re-quantize, so the fire tick is exact.
   st.target = ticks_ + off;
+  st.arm_seq = arm_count_++;
   file(flow, off);
   if (telem_.on()) t_wheel_flows_->record(wheel_count_);
   trace_queued(flow, wheel_count_);
@@ -244,12 +256,9 @@ void TimingWheel::expire_or_cascade(std::uint32_t level, std::uint32_t slot) {
     } else {
       ++cascade_count_;
       if (telem_.on()) t_cascades_->inc();
-      const std::uint64_t off = st.target > ticks_ ? st.target - ticks_ : 0;
-      if (off == 0) {
-        ready_.push_back(f);  // due at this very tick
-      } else {
-        file(f, off);
-      }
+      // off == 0 re-files into the current level-0 slot, which
+      // wheel_tick expires right after the cascades.
+      file(f, st.target > ticks_ ? st.target - ticks_ : 0);
     }
     f = next;
   }
@@ -259,18 +268,17 @@ void TimingWheel::wheel_tick() {
   wheel_tick_scheduled_ = false;
   ++ticks_;
   wheel_time_ += params_.slot_granularity;
-  // Expire the level-0 slot that just came due, then cascade every
-  // higher level whose period divides this tick. Cascaded flows whose
-  // remaining delta is below a granule join the ready queue now — same
-  // fire tick as the level-0 natives ahead of them.
-  expire_or_cascade(
-      0, static_cast<std::uint32_t>(ticks_ & (params_.slots_per_level - 1)));
+  // Cascade every higher level whose period divides this tick, then
+  // expire the level-0 slot that just came due. Cascaded flows due now
+  // are merged into that slot in arm order with its natives.
   for (std::uint32_t k = 1; k < params_.levels; ++k) {
     if (ticks_ % stride_[k] != 0) break;
     expire_or_cascade(k, static_cast<std::uint32_t>(
                              (ticks_ / stride_[k]) &
                              (params_.slots_per_level - 1)));
   }
+  expire_or_cascade(
+      0, static_cast<std::uint32_t>(ticks_ & (params_.slots_per_level - 1)));
   if (trace::Ring* r = ev_.trace_ring()) {
     if (trace_name_tick_ != 0) {
       r->record(ev_.now(), trace::Phase::kInstant, trace_name_tick_,

@@ -45,7 +45,7 @@ struct DctcpParams {
 };
 
 // DCTCP: window-based; the window is converted to a pacing rate
-// (cwnd / RTT) for enforcement by the Carousel scheduler, as TAS does.
+// (cwnd / RTT) for enforcement by the flow scheduler, as TAS does.
 class Dctcp final : public CongestionControl {
  public:
   explicit Dctcp(DctcpParams p = {});

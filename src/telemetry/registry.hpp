@@ -2,10 +2,10 @@
 // for introspecting the *simulator's* pipeline — per-stage visit counts
 // and latencies, per-FPC ring occupancy, per-flow-group traffic, DMA and
 // scheduler activity, host context-queue depths, and a drop-reason
-// taxonomy. Unlike sim::TraceRegistry (which models the paper's in-band
-// profiling extension and charges simulated FPC cycles per hit, Table 2),
-// telemetry is out-of-band: recording costs zero simulated time, so an
-// instrumented run is bit-identical to an uninstrumented one.
+// taxonomy. Unlike the paper's in-band profiling extension (modelled by
+// DatapathConfig::profiling, which charges every stage extra FPC cycles,
+// Table 2), telemetry is out-of-band: recording costs zero simulated
+// time, so an instrumented run is bit-identical to an uninstrumented one.
 //
 // Two toggles gate every record site:
 //   * compile time — configure with -DFLEXTOE_TELEMETRY=OFF and

@@ -71,7 +71,7 @@ void Tracer::report_drop(const Ring& ring, std::uint64_t victim,
   if (victim == 0) return;
   // Scan the (quiesced-for-us: we run on its writer thread) ring
   // backward for the last K events touching the victim. arg-matching
-  // picks up actor-paired sites (DMA, carousel) that stash the segment
+  // picks up actor-paired sites (DMA, flow scheduler) that stash the segment
   // id in the payload slot.
   std::vector<Event> hits;
   std::size_t k;

@@ -172,7 +172,7 @@ class Tracer {
   std::string string(std::uint16_t id) const;
   std::vector<std::string> strings() const;
 
-  // A causal-id namespace for non-domain actors (DMA engines, carousel)
+  // A causal-id namespace for non-domain actors (DMA engines, flow scheduler)
   // that pair their own begin/end events: base | local_seq is unique
   // process-wide for local_seq < 2^40.
   std::uint64_t next_actor_base();

@@ -1,18 +1,15 @@
-// Hierarchical timing-wheel battery (ISSUE: million-connection
-// scale-out). Two layers:
+// Timing-wheel flow scheduler battery. Two layers:
 //
-//  1. Differential: the wheel and the Carousel implement the same
-//     sched::TimerService contract; under any op script whose pacing
-//     deadlines stay inside the wheel's level-0 horizon (256 granules =
-//     256 us at defaults — no cascades), the two engines must produce
-//     byte-identical (time, flow, sent) trigger sequences. Seeded random
-//     arm/cancel/rearm scripts, same-tick ties, park/kick races and
-//     cancel-while-queued all run through both engines and diff.
-//
-//     Scripts never re-arm a cancelled flow: that is the one documented
-//     divergence (the wheel's O(1) cancel frees slot residency eagerly,
-//     the Carousel leaves a dead entry to expire lazily), covered by
-//     wheel-only tests below instead.
+//  1. Differential: the wheel against a small reference scheduler
+//     (Oracle below) that shares its ready deque, pump, service
+//     interval, tick anchoring and slot quantization but keeps armed
+//     flows in a sorted std::multimap<due tick, flow> instead of
+//     cascading slot lists. Under any op script the two must produce
+//     byte-identical (time, flow, sent) trigger sequences. Seeded
+//     random arm/cancel/re-arm scripts — cancelled flows may be revived
+//     and re-armed — same-tick ties, park/kick races and
+//     cancel-while-queued run through both at the default geometry; a
+//     small-geometry script crosses every level and the horizon.
 //
 //  2. Wheel-only: cascade boundaries at every level (small-geometry
 //     wheel so level strides are cheap to cross), far-deadline clamp,
@@ -22,12 +19,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <random>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "core/config.hpp"
-#include "core/datapath.hpp"
-#include "sched/carousel.hpp"
 #include "sched/timing_wheel.hpp"
 #include "sim/domain.hpp"
 #include "sim/time.hpp"
@@ -35,7 +33,7 @@
 namespace flextoe::sched {
 namespace {
 
-using FlowId = TimerService::FlowId;
+using FlowId = TimingWheel::FlowId;
 
 // One recorded TX trigger: when, which flow, what the data-path
 // reported sent. Differential tests compare full vectors of these.
@@ -54,8 +52,159 @@ struct Op {
   std::uint64_t arg;
 };
 
+// Reference scheduler: the wheel's trigger semantics with the slot
+// machinery replaced by a sorted multimap of due ticks. Equal keys keep
+// insertion order, so flows due on the same tick reach the ready queue
+// in arm order, and no deadline is ever clamped. Cancel is eager (the
+// armed entry is erased), so a cancelled flow can be revived and
+// re-armed.
+class Oracle {
+ public:
+  explicit Oracle(sim::Domain& ev, TimingWheelParams p = {})
+      : ev_(ev), p_(p) {}
+
+  void set_trigger(TimingWheel::TxTrigger t) { trigger_ = std::move(t); }
+
+  void set_rate(FlowId flow, std::uint64_t bytes_per_sec) {
+    Flow& st = flows_[flow];
+    st.dead = false;
+    st.ps_per_byte =
+        bytes_per_sec == 0 || bytes_per_sec >= p_.uncongested_rate
+            ? 0
+            : std::max<sim::TimePs>(1, sim::kPsPerSec / bytes_per_sec);
+  }
+  void update_avail(FlowId flow, std::uint64_t avail) {
+    Flow& st = flows_[flow];
+    st.dead = false;
+    st.avail = avail;
+    if (st.avail > 0 && !st.queued) enqueue_ready(flow);
+  }
+  void add_avail(FlowId flow, std::uint64_t delta) {
+    Flow& st = flows_[flow];
+    st.dead = false;
+    st.avail += delta;
+    if (st.avail > 0 && !st.queued) enqueue_ready(flow);
+  }
+  void kick(FlowId flow) {
+    Flow& st = flows_[flow];
+    if (!st.dead && st.avail > 0 && !st.queued) enqueue_ready(flow);
+  }
+  void remove_flow(FlowId flow) {
+    auto it = flows_.find(flow);
+    if (it == flows_.end()) return;
+    Flow& st = it->second;
+    if (st.armed) {
+      auto [lo, hi] = armed_.equal_range(st.due);
+      armed_.erase(std::find_if(
+          lo, hi, [flow](const auto& e) { return e.second == flow; }));
+      st.armed = false;
+      st.queued = false;
+    }
+    // A ready-queue resident is skipped lazily at service time.
+    st.dead = true;
+    st.avail = 0;
+  }
+
+ private:
+  struct Flow {
+    std::uint64_t avail = 0;
+    sim::TimePs ps_per_byte = 0;
+    std::uint64_t due = 0;  // absolute due tick while armed
+    bool queued = false;    // in the ready queue or armed
+    bool armed = false;
+    bool dead = false;
+  };
+
+  void enqueue_ready(FlowId flow) {
+    flows_[flow].queued = true;
+    ready_.push_back(flow);
+    pump();
+  }
+
+  void arm(FlowId flow, sim::TimePs deadline) {
+    Flow& st = flows_[flow];
+    // Re-anchor the tick grid only when nothing is armed and no stale
+    // tick is pending, as the wheel does.
+    if (armed_.empty() && !tick_scheduled_) ticks_ = 0;
+    const sim::TimePs delta = deadline > ev_.now() ? deadline - ev_.now() : 0;
+    const std::uint64_t off = delta / p_.slot_granularity;
+    if (off == 0) {
+      enqueue_ready(flow);
+      return;
+    }
+    st.queued = true;
+    st.armed = true;
+    st.due = ticks_ + off;
+    armed_.emplace(st.due, flow);
+    schedule_tick();
+  }
+
+  void schedule_tick() {
+    if (tick_scheduled_) return;
+    tick_scheduled_ = true;
+    ev_.schedule_in(p_.slot_granularity, [this] { tick(); });
+  }
+
+  void tick() {
+    tick_scheduled_ = false;
+    ++ticks_;
+    while (!armed_.empty() && armed_.begin()->first <= ticks_) {
+      const FlowId flow = armed_.begin()->second;
+      armed_.erase(armed_.begin());
+      flows_[flow].armed = false;
+      ready_.push_back(flow);  // queued stays true; due this tick
+    }
+    pump();
+    if (!armed_.empty()) schedule_tick();
+  }
+
+  void pump() {
+    if (service_scheduled_ || ready_.empty()) return;
+    service_scheduled_ = true;
+    const sim::TimePs at = std::max(ev_.now(), next_service_);
+    next_service_ = at + p_.service_interval;
+    ev_.schedule_at(at, [this] {
+      service_scheduled_ = false;
+      service_one();
+      pump();
+    });
+  }
+
+  void service_one() {
+    while (!ready_.empty()) {
+      const FlowId flow = ready_.front();
+      ready_.pop_front();
+      Flow& st = flows_[flow];
+      st.queued = false;
+      if (st.dead || st.avail == 0) continue;
+      const std::uint32_t sent = trigger_ ? trigger_(flow) : 0;
+      if (sent == 0) return;  // parked until kicked
+      st.avail -= std::min<std::uint64_t>(st.avail, sent);
+      if (st.avail > 0) {
+        if (st.ps_per_byte == 0) {
+          enqueue_ready(flow);
+        } else {
+          arm(flow, ev_.now() + st.ps_per_byte * sent);
+        }
+      }
+      return;  // one trigger per service interval
+    }
+  }
+
+  sim::Domain& ev_;
+  TimingWheelParams p_;
+  TimingWheel::TxTrigger trigger_;
+  std::unordered_map<FlowId, Flow> flows_;
+  std::deque<FlowId> ready_;
+  std::multimap<std::uint64_t, FlowId> armed_;
+  std::uint64_t ticks_ = 0;
+  bool tick_scheduled_ = false;
+  bool service_scheduled_ = false;
+  sim::TimePs next_service_ = 0;
+};
+
 // Deterministic data-path stand-in: the reported `sent` depends only on
-// (flow, per-flow call number), so two engines producing the same call
+// (flow, per-flow call number), so two schedulers producing the same call
 // sequence see the same responses — and a divergence shows up as a
 // sequence mismatch, never as harness noise. Roughly one call in 16
 // reports blocked (sent == 0), exercising the park/kick machinery.
@@ -65,7 +214,8 @@ std::uint32_t scripted_sent(FlowId flow, std::uint32_t call) {
   return 200 + h % 1249;  // 200..1448 bytes
 }
 
-std::vector<Trig> run_script(TimerService& svc, sim::Domain& ev,
+template <typename Sched>
+std::vector<Trig> run_script(Sched& svc, sim::Domain& ev,
                              const std::vector<Op>& ops, sim::TimePs end) {
   std::vector<Trig> out;
   std::vector<std::uint32_t> calls;
@@ -90,48 +240,76 @@ std::vector<Trig> run_script(TimerService& svc, sim::Domain& ev,
   return out;
 }
 
-// Runs `ops` through a default-parameter Carousel and TimingWheel (their
-// granularity, service interval and uncongested threshold already agree)
-// and requires identical trigger sequences.
-void expect_equivalent(const std::vector<Op>& ops, sim::TimePs end) {
-  sim::Domain ev_car, ev_whl;
-  Carousel car(ev_car);
-  TimingWheel whl(ev_whl);
-  const std::vector<Trig> a = run_script(car, ev_car, ops, end);
+// Small-geometry wheel for cascade tests: 8 slots/level, 3 levels.
+// Level strides are 1, 8, 64 granules; horizon 512 granules (512 us).
+TimingWheelParams small_geometry() {
+  TimingWheelParams p;
+  p.slots_per_level = 8;
+  p.levels = 3;
+  return p;
+}
+
+// Runs `ops` through the Oracle and a TimingWheel of geometry `params`
+// and requires identical trigger sequences. Returns the wheel's
+// cascade count, so callers can check which levels a script reached.
+std::uint64_t expect_equivalent(const std::vector<Op>& ops, sim::TimePs end,
+                                TimingWheelParams params = {}) {
+  sim::Domain ev_ref, ev_whl;
+  Oracle ref(ev_ref);
+  TimingWheel whl(ev_whl, params);
+  const std::vector<Trig> a = run_script(ref, ev_ref, ops, end);
   const std::vector<Trig> b = run_script(whl, ev_whl, ops, end);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  EXPECT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
     EXPECT_EQ(a[i].t, b[i].t) << "trigger " << i;
     EXPECT_EQ(a[i].flow, b[i].flow) << "trigger " << i;
     EXPECT_EQ(a[i].sent, b[i].sent) << "trigger " << i;
   }
+  return whl.cascades();
 }
 
-// Seeded random op script. Pacing rates stay >= 10 MB/s so every
-// re-arm deadline (ps_per_byte * sent <= 1e5 * 1448 ps ~ 145 us) sits
-// inside the wheel's 256-granule level-0 horizon: the equivalence
-// window. Cancelled flows are retired — never referenced again.
+// Seeded random op script. Paced flows draw rates in [min_rate,
+// 1 GB/s]; at the default 10 MB/s floor every re-arm deadline
+// (ps_per_byte * sent <= 1e5 * 1448 ps ~ 145 us) stays inside the
+// default wheel's 256-granule level 0, and lower floors push deadlines
+// through the cascading levels. Cancelled flows stay in play: a later
+// rate or avail op revives them, whether the cancel caught them armed,
+// queued or idle. Ops need not be time-sorted: each is scheduled at
+// its own instant.
 std::vector<Op> random_script(std::uint64_t seed, std::size_t num_flows,
-                              std::size_t num_ops, sim::TimePs span) {
+                              std::size_t num_ops, sim::TimePs span,
+                              std::uint64_t min_rate = 10'000'000) {
   std::mt19937_64 rng(seed);
+  // 1 in 4 uncongested (round-robin bypass), the rest paced.
+  auto draw_rate = [&rng, min_rate]() -> std::uint64_t {
+    return rng() % 4 == 0 ? 0
+                          : min_rate + rng() % (1'000'000'000 - min_rate);
+  };
   std::vector<Op> ops;
-  std::vector<FlowId> live;
   for (FlowId f = 0; f < num_flows; ++f) {
-    live.push_back(f);
-    // 1 in 4 uncongested (round-robin bypass), the rest paced in
-    // [10 MB/s, 1 GB/s].
-    const std::uint64_t rate =
-        rng() % 4 == 0 ? 0 : 10'000'000 + rng() % 990'000'000;
-    ops.push_back({Op::kRate, 0, f, rate});
+    ops.push_back({Op::kRate, 0, f, draw_rate()});
   }
   sim::TimePs t = 0;
-  for (std::size_t i = 0; i < num_ops && !live.empty(); ++i) {
+  for (std::size_t i = 0; i < num_ops; ++i) {
     t += rng() % (span / num_ops);
-    const FlowId f = live[rng() % live.size()];
-    switch (rng() % 8) {
-      case 0:  // retire (cancel): no later op may touch this flow
-        ops.push_back({Op::kRemove, t, f, 0});
-        live.erase(std::find(live.begin(), live.end(), f));
+    const auto f = static_cast<FlowId>(rng() % num_flows);
+    switch (rng() % 9) {
+      case 0: {
+        // Give the flow data, cancel it a few microseconds later —
+        // usually while it is armed between paced sends — and half the
+        // time revive it shortly after, often before the cancelled
+        // incarnation's deadline would have come due.
+        ops.push_back({Op::kUpdate, t, f, 1 + rng() % 20000});
+        const sim::TimePs cut = t + sim::ns(500) + rng() % sim::us(8);
+        ops.push_back({Op::kRemove, cut, f, 0});
+        if (rng() % 2 == 0) {
+          ops.push_back({Op::kUpdate, cut + rng() % sim::us(4), f,
+                         1 + rng() % 20000});
+        }
+        break;
+      }
+      case 8:  // re-program (revives a cancelled flow)
+        ops.push_back({Op::kRate, t, f, draw_rate()});
         break;
       case 1:
       case 2:
@@ -162,10 +340,25 @@ TEST(TimingWheelDifferential, ManyFlowsShortScript) {
   expect_equivalent(random_script(7, 256, 1500, sim::ms(10)), sim::ms(25));
 }
 
+TEST(TimingWheelDifferential, CascadingGeometryKeepsArmOrder) {
+  // Small-geometry wheel (horizon 512 granules) with rates down to
+  // 1 MB/s: re-arm deadlines reach ~1.4 ms, so flows file at every
+  // level, cascade, and park beyond the horizon. Flows due on the same
+  // tick must still fire in arm order, whether they reached level 0
+  // directly or by cascade — the oracle has no levels at all.
+  for (std::uint64_t seed : {3ull, 99ull}) {
+    SCOPED_TRACE(seed);
+    EXPECT_GT(expect_equivalent(
+                  random_script(seed, 48, 600, sim::ms(20), 1'000'000),
+                  sim::ms(40), small_geometry()),
+              0u);
+  }
+}
+
 TEST(TimingWheelDifferential, SameTickTies) {
   // Two flows paced identically, armed back-to-back at the same instant:
   // their deadlines quantize to the same slot and must pop in the same
-  // (insertion) order from both engines, tick after tick.
+  // (insertion) order from both schedulers, tick after tick.
   std::vector<Op> ops;
   ops.push_back({Op::kRate, 0, 1, 100'000'000});
   ops.push_back({Op::kRate, 0, 2, 100'000'000});
@@ -176,7 +369,7 @@ TEST(TimingWheelDifferential, SameTickTies) {
 
 TEST(TimingWheelDifferential, CancelWhileQueuedIsLazySkipped) {
   // The flow is cancelled right after arming, while it sits in the
-  // ready queue: both engines skip it lazily at the next service.
+  // ready queue: both schedulers skip it lazily at the next service.
   std::vector<Op> ops;
   ops.push_back({Op::kRate, 0, 3, 50'000'000});
   ops.push_back({Op::kUpdate, sim::us(1), 3, 6000});
@@ -187,10 +380,31 @@ TEST(TimingWheelDifferential, CancelWhileQueuedIsLazySkipped) {
   expect_equivalent(ops, sim::ms(2));
 }
 
+TEST(TimingWheelDifferential, CancelWhileArmedThenRearm) {
+  // Flow 5 paces at 50 MB/s (20 ns/byte): after its first trigger it
+  // is armed several microseconds out. It is cancelled while armed —
+  // the wheel unlinks it eagerly, leaving a stale tick pending — and
+  // revived twice: once before that stale tick runs (no re-anchor) and
+  // once after the wheel has drained (re-anchor on the new grid).
+  std::vector<Op> ops;
+  ops.push_back({Op::kRate, 0, 5, 50'000'000});
+  ops.push_back({Op::kUpdate, sim::us(1), 5, 6000});
+  ops.push_back({Op::kRemove, sim::ns(1500), 5, 0});
+  ops.push_back({Op::kUpdate, sim::ns(1600), 5, 3000});
+  ops.push_back({Op::kRemove, sim::us(40), 5, 0});
+  ops.push_back({Op::kRate, sim::us(200), 5, 25'000'000});
+  ops.push_back({Op::kUpdate, sim::us(200), 5, 4000});
+  // A paced companion shares the wheel with the first two incarnations
+  // and drains well before the third.
+  ops.push_back({Op::kRate, 0, 6, 40'000'000});
+  ops.push_back({Op::kUpdate, sim::us(2), 6, 3000});
+  expect_equivalent(ops, sim::ms(2));
+}
+
 TEST(TimingWheelDifferential, ParkAndKickRevival) {
   // scripted_sent reports blocked (~1/16 of calls) at deterministic
   // points; periodic kicks then revive every parked flow. Park points
-  // and revival order must line up exactly across both engines.
+  // and revival order must line up exactly across both schedulers.
   std::vector<Op> ops;
   for (FlowId f = 0; f < 8; ++f) {
     ops.push_back({Op::kRate, 0, f, 20'000'000 + f * 10'000'000});
@@ -207,8 +421,8 @@ TEST(TimingWheelDifferential, ParkAndKickRevival) {
 // --------------------------------------------------- wheel-only tests
 
 TEST(TimingWheel, RateLimitedPacing) {
-  // Mirror of Carousel.RateLimitedPacing: 100 MB/s and 1000-byte sends
-  // pace triggers ~10 us apart on the 1 us slot grid.
+  // 100 MB/s and 1000-byte sends pace triggers ~10 us apart on the
+  // 1 us slot grid.
   sim::Domain ev;
   TimingWheel whl(ev);
   std::vector<sim::TimePs> at;
@@ -224,15 +438,6 @@ TEST(TimingWheel, RateLimitedPacing) {
     EXPECT_GE(at[i] - at[i - 1], sim::us(9));
     EXPECT_LE(at[i] - at[i - 1], sim::us(12));
   }
-}
-
-// Small-geometry wheel for cascade tests: 8 slots/level, 3 levels.
-// Level strides are 1, 8, 64 granules; horizon 512 granules (512 us).
-TimingWheelParams small_geometry() {
-  TimingWheelParams p;
-  p.slots_per_level = 8;
-  p.levels = 3;
-  return p;
 }
 
 // Paces one flow so each re-arm deadline is `off_us` granules out, runs
@@ -307,8 +512,7 @@ TEST(TimingWheelCascade, BeyondHorizonFiresAtTrueDeadline) {
   TimingWheel whl(ev, small_geometry());
   // 600 granules exceeds the 512-granule horizon: the flow parks in the
   // top level and re-files by its stored due tick at each cascade, so
-  // it fires at the true deadline — not clamped early like Carousel's
-  // single-level wheel would.
+  // it fires at the true deadline, not clamped early to the horizon.
   for (sim::TimePs gap : pacing_gaps(whl, ev, 600)) {
     EXPECT_GE(gap, sim::us(599));
     EXPECT_LE(gap, sim::us(602));
@@ -329,8 +533,8 @@ TEST(TimingWheel, EagerCancelReleasesWheelResidency) {
   ev.run_until(sim::us(100));  // first trigger done, re-armed 1 ms out
   EXPECT_EQ(calls, 1);
   ASSERT_EQ(whl.wheel_resident(), 1u);
-  // O(1) cancel: residency drops immediately (the Carousel would keep a
-  // dead entry in the slot until it expires).
+  // O(1) cancel: residency drops immediately (no dead entry is left in
+  // the slot to expire).
   whl.remove_flow(9);
   EXPECT_EQ(whl.wheel_resident(), 0u);
   ev.run_until(sim::ms(5));
@@ -389,43 +593,6 @@ TEST(TimingWheel, FootprintIsFlatPerFlow) {
   // entry (intrusive links included), not a hash node + chain pointers.
   EXPECT_GE(full, empty + n * sizeof(std::uint64_t));
   EXPECT_LE((full - empty) / n, 128u);
-}
-
-// ------------------------------------------- engine selection (kAuto)
-
-core::Datapath::HostIface null_host() {
-  core::Datapath::HostIface host;
-  host.notify = [](const host::CtxDesc&) {};
-  host.to_control = [](const net::PacketPtr&) {};
-  host.peer_fin = [](tcp::ConnId) {};
-  return host;
-}
-
-TEST(TimerImplSelection, DefaultConfigKeepsCarousel) {
-  sim::Domain ev;
-  core::Datapath dp(ev, core::agilio_cx40_config(), null_host());
-  EXPECT_STREQ(dp.scheduler().impl_name(), "carousel");
-}
-
-TEST(TimerImplSelection, AutoPicksWheelAtScale) {
-  sim::Domain ev;
-  core::DatapathConfig cfg;
-  cfg.max_conns = 1'000'000;
-  core::Datapath dp(ev, cfg, null_host());
-  EXPECT_STREQ(dp.scheduler().impl_name(), "wheel");
-}
-
-TEST(TimerImplSelection, ExplicitOverridesBeatAuto) {
-  sim::Domain ev;
-  core::DatapathConfig cfg;
-  cfg.max_conns = 1'000'000;
-  cfg.timer = core::TimerImpl::kCarousel;
-  core::Datapath a(ev, cfg, null_host());
-  EXPECT_STREQ(a.scheduler().impl_name(), "carousel");
-  cfg.max_conns = 1024;
-  cfg.timer = core::TimerImpl::kWheel;
-  core::Datapath b(ev, cfg, null_host());
-  EXPECT_STREQ(b.scheduler().impl_name(), "wheel");
 }
 
 }  // namespace

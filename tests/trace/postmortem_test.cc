@@ -64,7 +64,7 @@ TEST_F(PostMortemTest, CapturesExactlyLastKVictimEvents) {
 }
 
 TEST_F(PostMortemTest, ArgMatchCatchesActorPairedEvents) {
-  // DMA/carousel sites key their own span ids in `cid` and carry the
+  // DMA/flow-scheduler sites key their own span ids in `cid` and carry the
   // segment's causal id in `arg`; the backward scan must match either.
   Ring ring(0, 1, 64);
   const std::uint64_t victim = ring.make_cid();

@@ -1,6 +1,6 @@
 // Unit tests for substrate components: FPC model, caches and memory
-// hierarchy, DMA engine, CPU pool, Carousel, reorder buffers, byte rings,
-// payload buffers, framing, CC algorithms, RTT estimation, tracing.
+// hierarchy, DMA engine, CPU pool, flow scheduler, reorder buffers, byte
+// rings, payload buffers, framing, CC algorithms, RTT estimation.
 #include <gtest/gtest.h>
 
 #include "app/framer.hpp"
@@ -10,10 +10,9 @@
 #include "nfp/dma.hpp"
 #include "nfp/fpc.hpp"
 #include "nfp/memory.hpp"
-#include "sched/carousel.hpp"
+#include "sched/timing_wheel.hpp"
 #include "sim/domain.hpp"
 #include "sim/cpu.hpp"
-#include "sim/trace.hpp"
 #include "tcp/byte_ring.hpp"
 #include "tcp/cc.hpp"
 #include "tcp/rtt.hpp"
@@ -185,77 +184,58 @@ TEST(CpuPool, CategoryAccounting) {
   EXPECT_EQ(cpu.total_cycles(), 100u);
 }
 
-// ------------------------------------------------------------- Carousel
+// ------------------------------------------------------- flow scheduler
 
-TEST(Carousel, UncongestedRoundRobin) {
+TEST(TimingWheel, UncongestedRoundRobin) {
   sim::Domain ev;
-  sched::Carousel car(ev);
+  sched::TimingWheel whl(ev);
   std::vector<std::uint32_t> order;
-  car.set_trigger([&](std::uint32_t f) {
+  whl.set_trigger([&](std::uint32_t f) {
     order.push_back(f);
     return 100u;
   });
-  car.set_rate(1, 0);
-  car.set_rate(2, 0);
-  car.update_avail(1, 300);
-  car.update_avail(2, 300);
+  whl.set_rate(1, 0);
+  whl.set_rate(2, 0);
+  whl.update_avail(1, 300);
+  whl.update_avail(2, 300);
   ev.run_until(sim::us(50));
   // Both flows fully drained, interleaved.
   ASSERT_GE(order.size(), 6u);
   EXPECT_NE(order[0], order[1]);
 }
 
-TEST(Carousel, RateLimitedPacing) {
+TEST(TimingWheel, BlockedFlowParksUntilKick) {
   sim::Domain ev;
-  sched::Carousel car(ev);
-  std::vector<sim::TimePs> at;
-  car.set_trigger([&](std::uint32_t) {
-    at.push_back(ev.now());
-    return 1000u;
-  });
-  car.set_rate(7, 100'000'000);  // 100 MB/s -> 10 us per 1000 B
-  car.update_avail(7, 5000);
-  ev.run_until(sim::ms(1));
-  ASSERT_EQ(at.size(), 5u);
-  // Spacing ~10 us (quantized by 1 us slots).
-  for (std::size_t i = 1; i < at.size(); ++i) {
-    EXPECT_GE(at[i] - at[i - 1], sim::us(9));
-    EXPECT_LE(at[i] - at[i - 1], sim::us(12));
-  }
-}
-
-TEST(Carousel, BlockedFlowParksUntilKick) {
-  sim::Domain ev;
-  sched::Carousel car(ev);
+  sched::TimingWheel whl(ev);
   int calls = 0;
   bool blocked = true;
-  car.set_trigger([&](std::uint32_t) -> std::uint32_t {
+  whl.set_trigger([&](std::uint32_t) -> std::uint32_t {
     ++calls;
     return blocked ? 0 : 500;
   });
-  car.set_rate(1, 0);
-  car.update_avail(1, 500);
+  whl.set_rate(1, 0);
+  whl.update_avail(1, 500);
   ev.run_until(sim::us(100));
   EXPECT_EQ(calls, 1);  // parked after the first blocked trigger
   blocked = false;
-  car.kick(1);
+  whl.kick(1);
   ev.run_until(sim::us(200));
   EXPECT_EQ(calls, 2);  // resumed and drained
 }
 
-TEST(Carousel, RemoveFlowStopsService) {
+TEST(TimingWheel, RemoveFlowStopsService) {
   sim::Domain ev;
-  sched::Carousel car(ev);
+  sched::TimingWheel whl(ev);
   int calls = 0;
-  car.set_trigger([&](std::uint32_t) {
+  whl.set_trigger([&](std::uint32_t) {
     ++calls;
     return 100u;
   });
-  car.set_rate(3, 1'000'000);
-  car.update_avail(3, 10'000);
+  whl.set_rate(3, 1'000'000);
+  whl.update_avail(3, 10'000);
   ev.run_until(sim::us(150));
   const int before = calls;
-  car.remove_flow(3);
+  whl.remove_flow(3);
   ev.run_until(sim::ms(2));
   EXPECT_LE(calls, before + 1);
 }
@@ -450,36 +430,6 @@ TEST(Rtt, BackoffDoublesAndResets) {
   EXPECT_EQ(est.rto_backed_off(), std::min(r * 2, sim::sec(1)));
   est.reset_backoff();
   EXPECT_EQ(est.rto_backed_off(), r);
-}
-
-// ---------------------------------------------------------------- trace
-
-TEST(Trace, DisabledCostsNothingAndCountsNothing) {
-  sim::TraceRegistry t;
-  const auto id = t.register_point("event/test");
-  t.hit(id);
-  EXPECT_EQ(t.hits(id), 0u);
-  EXPECT_EQ(t.per_hit_cycles(), 0u);
-}
-
-TEST(Trace, EnabledCountsAndCharges) {
-  sim::TraceRegistry t;
-  const auto id = t.register_point("event/test");
-  t.set_enabled(true);
-  t.hit(id, 5);
-  t.hit(id, 7);
-  EXPECT_EQ(t.hits(id), 2u);
-  EXPECT_EQ(t.accumulated(id), 12u);
-  EXPECT_GT(t.per_hit_cycles(), 0u);
-  EXPECT_EQ(t.hits("event/test"), 2u);
-}
-
-TEST(Trace, RegistrationIsIdempotent) {
-  sim::TraceRegistry t;
-  const auto a = t.register_point("x");
-  const auto b = t.register_point("x");
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(t.num_points(), 1u);
 }
 
 }  // namespace
