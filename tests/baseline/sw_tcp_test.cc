@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <numeric>
 
 #include "net/switch.hpp"
@@ -312,12 +314,19 @@ TEST(SwTcp, BidirectionalSimultaneousTransfer) {
 
 // Property sweep: transfers complete intact across loss rates, OOO modes
 // and seeds (go-back-N + single interval / multi interval / none).
+//
+// GoogleTest names each case by the raw bytes of its LossCase, padding
+// included. `name_bytes` occupies what was padding, whose contents used to
+// be whatever the stack held, so case names changed from build to build;
+// the fixed values keep every case under the name it is recorded with.
 struct LossCase {
   double loss;
   tcp::OooMode ooo;
   bool go_back_n;
+  std::array<std::uint8_t, 2> name_bytes;
   int seed;
 };
+static_assert(sizeof(LossCase) == 16, "every byte of LossCase is a member");
 
 class SwTcpLossTest : public ::testing::TestWithParam<LossCase> {};
 
@@ -372,14 +381,14 @@ TEST_P(SwTcpLossTest, TransferSurvivesLoss) {
 INSTANTIATE_TEST_SUITE_P(
     LossMatrix, SwTcpLossTest,
     ::testing::Values(
-        LossCase{0.0, tcp::OooMode::Single, true, 1},
-        LossCase{0.001, tcp::OooMode::Single, true, 2},
-        LossCase{0.01, tcp::OooMode::Single, true, 3},
-        LossCase{0.05, tcp::OooMode::Single, true, 4},
-        LossCase{0.01, tcp::OooMode::Multi, false, 5},
-        LossCase{0.05, tcp::OooMode::Multi, false, 6},
-        LossCase{0.01, tcp::OooMode::None, true, 7},
-        LossCase{0.001, tcp::OooMode::None, true, 8}));
+        LossCase{0.0, tcp::OooMode::Single, true, {0x04, 0x00}, 1},
+        LossCase{0.001, tcp::OooMode::Single, true, {0x70, 0x00}, 2},
+        LossCase{0.01, tcp::OooMode::Single, true, {0x00, 0x00}, 3},
+        LossCase{0.05, tcp::OooMode::Single, true, {0x00, 0x00}, 4},
+        LossCase{0.01, tcp::OooMode::Multi, false, {0x04, 0x00}, 5},
+        LossCase{0.05, tcp::OooMode::Multi, false, {0x55, 0x00}, 6},
+        LossCase{0.01, tcp::OooMode::None, true, {0x00, 0x00}, 7},
+        LossCase{0.001, tcp::OooMode::None, true, {0x00, 0x00}, 8}));
 
 TEST(SwTcp, RetransmitsOnLossAndCountsThem) {
   Pair p({}, {}, 0.02);
