@@ -6,7 +6,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+
+#include <sched.h>
 
 #include "core/batch.hpp"
 #include "sim/domain.hpp"
@@ -165,6 +168,22 @@ double percentile(const std::vector<double>& xs, double p) {
   sim::Percentiles acc;
   for (double x : xs) acc.add(x);
   return acc.percentile(p);
+}
+
+double effective_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  double cpus = sched_getaffinity(0, sizeof(set), &set) == 0
+                    ? static_cast<double>(CPU_COUNT(&set))
+                    : 1.0;
+  // cgroup v2 quota: "<quota> <period>" in microseconds, or "max ...".
+  std::ifstream in("/sys/fs/cgroup/cpu.max");
+  std::string quota;
+  double period = 0;
+  if ((in >> quota >> period) && quota != "max" && period > 0) {
+    cpus = std::min(cpus, std::atof(quota.c_str()) / period);
+  }
+  return cpus;
 }
 
 // ---------------------------------------------------------------------

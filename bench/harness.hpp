@@ -84,6 +84,11 @@ RepeatStats run_repeated(int repeats, const std::function<double(int rep)>& fn,
 // Exact percentile of a sample set (p in [0, 100]); 0 when empty.
 double percentile(const std::vector<double>& xs, double p);
 
+// CPUs this process may use: its sched_getaffinity mask, capped by the
+// cgroup v2 CPU quota (`cpu.max`). May be fractional; differs from
+// std::thread::hardware_concurrency() whenever the host is shared.
+double effective_cpus();
+
 // ---------------------------------------------------------------------
 // Results model: Report -> Series -> Row.
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <thread>
 
 #include "core/batch.hpp"
 #include "core/config.hpp"
@@ -358,8 +357,9 @@ BENCH_SCENARIO(batch_sweep, "Dispatch burst-size sweep (segments/s)") {
 // that every completed segment crosses into via Domain::post. The same
 // seed runs at 1/2/4/8 worker threads; the fingerprint column asserts
 // the runs are event-for-event identical, the speedup column is the
-// wall-clock win. Speedup is bounded by min(threads, host_cores) — on a
-// single-core host every row measures ~1x plus barrier overhead; the
+// wall-clock win. Speedup is bounded by min(threads, host_cores), where
+// host_cores is effective CPUs (affinity mask capped by the cgroup CPU
+// quota), not hardware_concurrency() — on a single-core host every row measures ~1x plus barrier overhead; the
 // >=2.5x-at-4-threads acceptance target needs a >=4-core host.
 BENCH_SCENARIO(parallel_speedup, "Domain scheduler scaling (segments/s)") {
   auto& report = ctx.report();
@@ -468,8 +468,7 @@ BENCH_SCENARIO(parallel_speedup, "Domain scheduler scaling (segments/s)") {
     row.set("segments_per_sec", rate);
     row.set("speedup_vs_1", base_rate > 0 ? rate / base_rate : 0);
     row.set("deterministic", fp_out == base_fp ? 1 : 0);
-    row.set("host_cores",
-            static_cast<double>(std::thread::hardware_concurrency()));
+    row.set("host_cores", benchx::effective_cpus());
   }
   report.note(
       "parallel_speedup: same-seed runs are event-for-event identical at "

@@ -42,7 +42,6 @@ ConnId SwTcpStack::alloc_conn(const tcp::FlowTuple& t, net::MacAddr peer_mac) {
 void SwTcpStack::free_conn(ConnId cid) {
   Conn* c = get(cid);
   if (c == nullptr) return;
-  ++c->rto_gen;  // cancel timers
   by_tuple_.erase(c->tuple);
   conns_[cid].reset();
 }
@@ -268,7 +267,7 @@ void SwTcpStack::handle_conn_segment(ConnId cid, const net::PacketPtr& pkt) {
         if (h.mss) c.peer_mss = std::min<std::uint32_t>(*h.mss, cfg_.mss);
         if (h.ts) c.ts_recent = h.ts->val;
         c.state = State::Established;
-        ++c.rto_gen;  // cancel SYN timer
+        cancel_rto(c);  // SYN timer
         c.rtt.reset_backoff();
         send_ack(cid, c);
         if (cbs_.on_connected) cbs_.on_connected(cid, true);
@@ -281,7 +280,7 @@ void SwTcpStack::handle_conn_segment(ConnId cid, const net::PacketPtr& pkt) {
         c.snd_una = h.ack;
         c.snd_wnd = static_cast<std::uint32_t>(h.window) << kWindowShift;
         c.state = State::Established;
-        ++c.rto_gen;
+        cancel_rto(c);
         c.rtt.reset_backoff();
         if (cbs_.on_accept) cbs_.on_accept(cid);
         // continue processing payload below if present
@@ -322,15 +321,9 @@ void SwTcpStack::handle_conn_segment(ConnId cid, const net::PacketPtr& pkt) {
         case State::FinWait1:
           c.state = State::Closing;
           break;
-        case State::FinWait2: {
-          c.state = State::TimeWait;
-          const std::uint64_t gen = ++c.rto_gen;
-          ev_.schedule_in(cfg_.time_wait, [this, cid, gen] {
-            Conn* cc = get(cid);
-            if (cc != nullptr && cc->rto_gen == gen) free_conn(cid);
-          });
+        case State::FinWait2:
+          enter_time_wait(cid, c);
           break;
-        }
         default:
           break;
       }
@@ -377,15 +370,9 @@ void SwTcpStack::process_ack(ConnId cid, Conn& c, const net::Packet& pkt) {
         case State::FinWait1:
           c.state = State::FinWait2;
           break;
-        case State::Closing: {
-          c.state = State::TimeWait;
-          const std::uint64_t gen = ++c.rto_gen;
-          ev_.schedule_in(cfg_.time_wait, [this, cid, gen] {
-            Conn* cc = get(cid);
-            if (cc != nullptr && cc->rto_gen == gen) free_conn(cid);
-          });
+        case State::Closing:
+          enter_time_wait(cid, c);
           break;
-        }
         case State::LastAck:
           free_conn(cid);
           return;
@@ -395,7 +382,7 @@ void SwTcpStack::process_ack(ConnId cid, Conn& c, const net::Packet& pkt) {
     }
 
     if (c.snd_nxt == c.snd_una) {
-      ++c.rto_gen;  // everything acked: cancel RTO
+      cancel_rto(c);  // everything acked
     } else {
       arm_rto(cid, c);
     }
@@ -675,16 +662,50 @@ void SwTcpStack::cc_on_timeout(Conn& c) {
 // ------------------------------------------------------------------ timers
 
 void SwTcpStack::arm_rto(ConnId cid, Conn& c) {
-  const std::uint64_t gen = ++c.rto_gen;
-  ev_.schedule_in(c.rtt.rto_backed_off(),
-                  [this, cid, gen] { on_rto(cid, gen); });
+  c.rto_at = ev_.now() + c.rtt.rto_backed_off();
+  c.rto_seq = ev_.reserve_seq();
+  if (c.rto_at < c.rto_queued_at) queue_rto(cid, c);
 }
 
-void SwTcpStack::on_rto(ConnId cid, std::uint64_t gen) {
-  Conn* cp = get(cid);
-  if (cp == nullptr || cp->rto_gen != gen) return;
-  Conn& c = *cp;
+void SwTcpStack::cancel_rto(Conn& c) {
+  ++c.timer_gen;
+  c.rto_at = kNoTimer;
+}
 
+void SwTcpStack::queue_rto(ConnId cid, Conn& c) {
+  const std::uint64_t seq = c.rto_seq;
+  c.rto_queued_at = c.rto_at;
+  c.rto_queued_seq = seq;
+  ev_.schedule_at(c.rto_at, seq, [this, cid, seq] { on_rto_event(cid, seq); });
+}
+
+void SwTcpStack::on_rto_event(ConnId cid, std::uint64_t seq) {
+  Conn* cp = get(cid);
+  if (cp == nullptr || cp->rto_queued_seq != seq) return;  // superseded
+  Conn& c = *cp;
+  c.rto_queued_at = kNoTimer;
+  if (c.rto_at == kNoTimer) return;  // cancelled
+  if (c.rto_at != ev_.now() || c.rto_seq != seq) {
+    // Re-armed since this event was queued: the armed (deadline, seq)
+    // lies after this event's, so re-queueing keeps its exact place.
+    queue_rto(cid, c);
+    return;
+  }
+  c.rto_at = kNoTimer;
+  on_rto(cid, c);
+}
+
+void SwTcpStack::enter_time_wait(ConnId cid, Conn& c) {
+  c.state = State::TimeWait;
+  cancel_rto(c);
+  const std::uint64_t gen = c.timer_gen;
+  ev_.schedule_in(cfg_.time_wait, [this, cid, gen] {
+    Conn* cc = get(cid);
+    if (cc != nullptr && cc->timer_gen == gen) free_conn(cid);
+  });
+}
+
+void SwTcpStack::on_rto(ConnId cid, Conn& c) {
   switch (c.state) {
     case State::SynSent:
       ++timeouts_;

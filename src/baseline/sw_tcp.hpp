@@ -13,6 +13,21 @@
 // duplicate-ACK fast retransmit, RTO with exponential backoff, go-back-N
 // or SACK-quality recovery (per personality), and FIN/RST teardown.
 // Host processing costs are charged to a CpuPool per packet/operation.
+//
+// Timers: one RTO event per connection. The stack arms the RTO on every
+// segment it sends and on every ACK that leaves data outstanding, so
+// arming only records the deadline (now + backed-off RTO) and a FIFO
+// rank reserved from the event queue at arm time
+// (EventQueue::reserve_seq). An event is queued only when none is, or
+// when the new deadline is earlier than the queued one (the RTO shrank);
+// the superseded event then sees a stale token when it fires and drops
+// out. A cancel clears the deadline; the queued event drops out when it
+// fires. An event that fires before the armed deadline re-queues itself
+// at the armed (deadline, rank); only the event at exactly that key runs
+// the timeout. Each timeout therefore runs at the same (time, rank) as
+// if every arm had queued its own event, while the heap holds about one
+// RTO event per connection instead of one per segment and ACK of the
+// last RTO. TIME_WAIT keeps its own single event.
 #pragma once
 
 #include <cstddef>
@@ -132,6 +147,8 @@ class SwTcpStack final : public tcp::StackIface, public net::PacketSink {
   ConnDebug conn_debug(tcp::ConnId c) const;
 
  private:
+  static constexpr sim::TimePs kNoTimer = sim::EventQueue::kNoEvent;
+
   struct Conn {
     tcp::FlowTuple tuple;
     State state = State::Closed;
@@ -169,7 +186,15 @@ class SwTcpStack final : public tcp::StackIface, public net::PacketSink {
 
     // Loss recovery.
     std::uint32_t dupacks = 0;
-    std::uint64_t rto_gen = 0;  // invalidates stale timer events
+    // Bumped by every RTO cancel; retires the TIME_WAIT event.
+    std::uint64_t timer_gen = 0;
+    // The RTO (see "Timers" above): the armed deadline and its reserved
+    // FIFO rank, then the time and rank of the one queued RTO event.
+    // The queued rank is the token that retires superseded events.
+    sim::TimePs rto_at = kNoTimer;
+    std::uint64_t rto_seq = 0;
+    sim::TimePs rto_queued_at = kNoTimer;
+    std::uint64_t rto_queued_seq = 0;
     tcp::RttEstimator rtt;
     tcp::SeqNum high_rtx = 0;   // fast-rtx dedup within one window
 
@@ -219,7 +244,11 @@ class SwTcpStack final : public tcp::StackIface, public net::PacketSink {
 
   // Timers.
   void arm_rto(tcp::ConnId cid, Conn& c);
-  void on_rto(tcp::ConnId cid, std::uint64_t gen);
+  void cancel_rto(Conn& c);
+  void queue_rto(tcp::ConnId cid, Conn& c);
+  void on_rto_event(tcp::ConnId cid, std::uint64_t seq);
+  void on_rto(tcp::ConnId cid, Conn& c);
+  void enter_time_wait(tcp::ConnId cid, Conn& c);
 
   std::uint32_t now_ts() const {
     return static_cast<std::uint32_t>(ev_.now() / sim::kPsPerUs);

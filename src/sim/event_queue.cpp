@@ -1,35 +1,24 @@
 #include "sim/event_queue.hpp"
 
-#include <cassert>
-#include <utility>
-
 namespace flextoe::sim {
 
-void EventQueue::schedule_at(TimePs t, Callback cb) {
-  assert(t >= now_ && "cannot schedule into the past");
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slots_[slot] = std::move(cb);
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(cb));
-  }
-  heap_.push(Ev{t, next_seq_++, slot});
+void EventQueue::add_chunk() {
+  chunks_.emplace_back(new Callback[kChunkSlots]);
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
   const Ev ev = heap_.top();
   heap_.pop();
-  // Move the callback out before invoking: the callback may schedule new
-  // events, which may recycle the slot or grow the slab.
-  Callback cb = std::move(slots_[ev.slot]);
-  free_slots_.push_back(ev.slot);
   now_ = ev.t;
   ++executed_;
+  // Invoke in place. Chunks never move, and the slot is recycled only
+  // after the callback has returned and been destroyed, so the events it
+  // schedules land in other slots.
+  Callback& cb = slot_at(ev.slot);
   cb();
+  cb.reset();
+  free_slots_.push_back(ev.slot);
   return true;
 }
 

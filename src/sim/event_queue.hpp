@@ -1,18 +1,26 @@
 // Deterministic discrete-event queue.
 //
 // Events scheduled for the same timestamp run in schedule order (FIFO),
-// which keeps every simulation bit-reproducible for a given seed.
+// which keeps every simulation bit-reproducible for a given seed. The
+// FIFO rank is a sequence number drawn at schedule time; reserve_seq()
+// draws one early, so an event scheduled later with it still runs where
+// an event scheduled at the reservation would have.
 //
 // The event representation is pooled and allocation-free at steady
 // state: the binary heap orders 24-byte {time, seq, slot} records while
 // the callbacks themselves — sim::SmallFn closures, stored inline, no
-// per-closure malloc — live in a slab of recycled slots. Heap sifts move
-// only the small records; a callback is relocated exactly twice (into
-// its slot, out at dispatch) regardless of heap depth.
+// per-closure malloc — live in recycled slots of a slab made of
+// fixed-size chunks that never move. schedule_at() builds the closure
+// directly in its slot; step() invokes it there, destroys it there and
+// only then recycles the slot. A closure is never relocated, whatever
+// the heap depth, and events it schedules while running land in other
+// slots. Only a pre-built Callback (Domain::post) is moved in once.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -29,13 +37,38 @@ class EventQueue {
   // 16 (guard) + pad-to-16 + 80 (SmallFn<64> done) = 112 bytes.
   using Callback = SmallFn<112>;
 
-  // Schedules `cb` to run at absolute time `t` (>= now()).
-  void schedule_at(TimePs t, Callback cb);
+  // Slots per slab chunk (128 B each, so 32 KiB per chunk).
+  static constexpr std::size_t kChunkSlots = 256;
 
-  // Schedules `cb` to run `delay` after now().
-  void schedule_in(TimePs delay, Callback cb) {
-    schedule_at(now_ + delay, std::move(cb));
+  // Schedules `f` — any void() callable, or a pre-built Callback — to
+  // run at absolute time `t` (>= now()).
+  template <typename F>
+  void schedule_at(TimePs t, F&& f) {
+    schedule_at(t, next_seq_++, std::forward<F>(f));
   }
+
+  // Schedules `f` to run at `t` with a FIFO rank drawn earlier by
+  // reserve_seq(): among events at `t` it runs after those scheduled
+  // before the reservation and before those scheduled after it. At most
+  // one pending event may hold a given rank.
+  template <typename F>
+  void schedule_at(TimePs t, std::uint64_t seq, F&& f) {
+    assert(t >= now_ && "cannot schedule into the past");
+    assert(seq < next_seq_ && "sequence number was never reserved");
+    const std::uint32_t slot = alloc_slot();
+    slot_at(slot).emplace(std::forward<F>(f));
+    heap_.push(Ev{t, seq, slot});
+  }
+
+  // Schedules `f` to run `delay` after now().
+  template <typename F>
+  void schedule_in(TimePs delay, F&& f) {
+    schedule_at(now_ + delay, std::forward<F>(f));
+  }
+
+  // Draws the FIFO rank the next schedule_at() would have taken, for a
+  // later schedule_at(t, seq, f).
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   // Runs the earliest pending event. Returns false if the queue is empty.
   bool step();
@@ -82,8 +115,24 @@ class EventQueue {
     }
   };
 
+  Callback& slot_at(std::uint32_t slot) {
+    return chunks_[slot / kChunkSlots][slot % kChunkSlots];
+  }
+  std::uint32_t alloc_slot() {
+    if (!free_slots_.empty()) {
+      const std::uint32_t slot = free_slots_.back();
+      free_slots_.pop_back();
+      return slot;
+    }
+    if (slot_count_ == chunks_.size() * kChunkSlots) add_chunk();
+    return slot_count_++;
+  }
+  void add_chunk();
+
   std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
-  std::vector<Callback> slots_;          // slab; grows to peak pending
+  // Slab; grows to peak pending, a chunk at a time.
+  std::vector<std::unique_ptr<Callback[]>> chunks_;
+  std::uint32_t slot_count_ = 0;           // slots handed out so far
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   TimePs now_ = 0;
   std::uint64_t next_seq_ = 0;

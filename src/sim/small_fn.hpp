@@ -30,13 +30,7 @@ class SmallFn {
             typename = std::enable_if_t<!std::is_same_v<D, SmallFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   SmallFn(F&& f) {  // NOLINT(runtime/explicit)
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &InlineOps<D>::ops;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOps<D>::ops;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   SmallFn(SmallFn&& o) noexcept : ops_(o.ops_) {
@@ -62,6 +56,28 @@ class SmallFn {
   SmallFn& operator=(const SmallFn&) = delete;
 
   ~SmallFn() { reset(); }
+
+  // Replaces the target with `f`, built directly in this object's
+  // storage: no temporary SmallFn and no relocation. A SmallFn of this
+  // same type is moved in instead.
+  template <typename F, typename D = std::decay_t<F>>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<D, SmallFn>) {
+      *this = std::forward<F>(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>);
+      reset();
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
+  // Destroys the target, leaving the SmallFn empty.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
+  }
 
   void operator()() { ops_->invoke(buf_); }
   explicit operator bool() const noexcept { return ops_ != nullptr; }
@@ -104,10 +120,15 @@ class SmallFn {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  void reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
+  // Precondition: empty.
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>()) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &InlineOps<D>::ops;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &HeapOps<D>::ops;
     }
   }
 

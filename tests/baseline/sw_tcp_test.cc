@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "net/switch.hpp"
 #include "sim/domain.hpp"
@@ -460,6 +463,119 @@ TEST(SwTcp, CwndGrowsDuringSlowStart) {
 
   p.run_for(sim::ms(100));
   EXPECT_GT(p.a.cwnd_bytes(client_conn), cwnd_at_start);
+}
+
+// The RTO is armed on every segment sent and on every ACK that leaves
+// data outstanding; the event queue must still hold at most one RTO
+// event per connection. An 8 KiB window caps what the links and the
+// switch hold in flight (~6 data segments and their ACKs, at most one
+// event each), while a 1 MiB transfer sends ~725 segments and gets as
+// many ACKs well inside one 1 ms RTO — one queued event per arm would
+// put ~1400 dead timers in the heap.
+TEST(SwTcp, LosslessTransferQueuesOneRtoEventPerConnection) {
+  SwTcpConfig cfg;
+  cfg.sockbuf_bytes = 8 * 1024;
+  Pair p(cfg, cfg);
+  const auto data = pattern(1024 * 1024, 5);
+  std::size_t rxed = 0, sent = 0;
+  ConnId client_conn = tcp::kInvalidConn;
+
+  tcp::StackCallbacks scb;
+  scb.on_data = [&](ConnId c) {
+    std::uint8_t buf[8192];
+    std::size_t n;
+    while ((n = p.b.recv(c, buf)) > 0) rxed += n;
+  };
+  p.b.set_callbacks(scb);
+  p.b.listen(80);
+
+  auto push = [&] {
+    if (sent < data.size()) {
+      sent += p.a.send(client_conn,
+                       std::span(data.data() + sent, data.size() - sent));
+    }
+  };
+  tcp::StackCallbacks ccb;
+  ccb.on_connected = [&](ConnId c, bool) {
+    client_conn = c;
+    push();
+  };
+  ccb.on_sendable = [&](ConnId) { push(); };
+  p.a.set_callbacks(ccb);
+  p.a.connect(p.b.local_ip(), 80);
+
+  // In-flight bound: 2 x (8 KiB / MSS + 1) packet events, plus one RTO
+  // event per connection and slack for the handshake's control packets.
+  const std::size_t in_flight = 2 * (cfg.sockbuf_bytes / cfg.mss + 1);
+  const std::size_t bound = in_flight + 2 + 4;
+  std::size_t peak = 0;
+  for (int i = 0; i < 5000 && rxed < data.size(); ++i) {
+    p.run_for(sim::ns(200));
+    peak = std::max(peak, p.ev.pending());
+  }
+  ASSERT_EQ(rxed, data.size());
+  EXPECT_EQ(p.a.timeouts(), 0u);
+  EXPECT_LE(peak, bound);
+}
+
+// A sink that drops every packet and logs when it saw one.
+struct BlackHole final : net::PacketSink {
+  sim::Domain* ev = nullptr;
+  std::vector<std::string>* log = nullptr;
+  std::vector<sim::TimePs> at;
+  void deliver(const net::PacketPtr&) override {
+    at.push_back(ev->now());
+    log->push_back("pkt");
+  }
+};
+
+// Every arm moves the deadline to now + RTO; only the last arm counts,
+// and the timeout runs exactly where an event queued at that arm would:
+// after same-time events queued before the arm, before those queued
+// after it — with one RTO event in the queue however often it re-arms.
+TEST(SwTcp, ForcedRtoFiresAtLastArmPlusRto) {
+  SwTcpConfig cfg;
+  cfg.min_rto = cfg.max_rto = sim::ms(1);  // the RTO is 1 ms throughout
+  Pair p(cfg, cfg);
+  ConnId client_conn = tcp::kInvalidConn;
+  tcp::StackCallbacks ccb;
+  ccb.on_connected = [&](ConnId c, bool) { client_conn = c; };
+  p.a.set_callbacks(ccb);
+  p.b.listen(80);
+  p.a.connect(p.b.local_ip(), 80);
+  p.run_for(sim::ms(5));  // the cancelled handshake timers dropped out
+  ASSERT_EQ(p.a.conn_state(client_conn), SwTcpStack::State::Established);
+  ASSERT_TRUE(p.ev.empty());
+
+  std::vector<std::string> log;
+  BlackHole hole;
+  hole.ev = &p.ev;
+  hole.log = &log;
+  p.a.set_tx_sink(&hole);
+  const auto data = pattern(4 * 1024);
+
+  // First arms at t0 (two segments), last arms at t1 (two more).
+  const sim::TimePs t0 = p.ev.now();
+  ASSERT_EQ(p.a.send(client_conn, std::span(data.data(), 2048)), 2048u);
+  p.run_for(sim::us(100));
+  const sim::TimePs t1 = p.ev.now();
+  const sim::TimePs fire = t1 + cfg.min_rto;
+  p.ev.schedule_at(fire, [&] { log.push_back("before"); });
+  ASSERT_EQ(p.a.send(client_conn, std::span(data.data() + 2048, 2048)),
+            2048u);
+  p.ev.schedule_at(fire, [&] { log.push_back("after"); });
+  EXPECT_EQ(hole.at.size(), 4u);  // 2 x 2048 B in 1448 B segments
+  // Two markers and a single RTO event, after four arms at two times.
+  EXPECT_EQ(p.ev.pending(), 3u);
+
+  p.ev.run_until(t0 + cfg.min_rto);
+  EXPECT_EQ(p.a.timeouts(), 0u);  // the first arms were superseded
+  log.clear();
+  p.ev.run_until(fire);
+  EXPECT_EQ(p.a.timeouts(), 1u);
+  ASSERT_EQ(log.size(), 3u);  // go-back-N resends one segment (cwnd 1)
+  EXPECT_EQ(log, (std::vector<std::string>{"before", "pkt", "after"}));
+  EXPECT_EQ(hole.at.back(), fire);
 }
 
 }  // namespace

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <sched.h>
+
 namespace flextoe::benchx {
 namespace {
 
@@ -313,6 +315,15 @@ TEST(Percentile, ExactOnUniformRange) {
   EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 100), 101.0);
   EXPECT_TRUE(percentile({}, 50) == 0.0);
+}
+
+TEST(EffectiveCpus, PositiveAndWithinAffinityMask) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  const double cpus = effective_cpus();
+  EXPECT_GT(cpus, 0.0);
+  EXPECT_LE(cpus, static_cast<double>(CPU_COUNT(&set)));
 }
 
 TEST(RunRepeated, MeanAndPercentiles) {

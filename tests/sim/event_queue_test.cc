@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace flextoe::sim {
@@ -99,6 +103,75 @@ TEST(EventQueue, RunBeforeIsExclusiveAndKeepsClock) {
   EXPECT_EQ(q.next_time(), ns(30));
   q.run_before(EventQueue::kNoEvent);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedSeqRunsInItsReservedPlace) {
+  // A rank reserved between two same-time schedules keeps its place
+  // between them, even when the event itself is scheduled last.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(ns(10), [&] { order.push_back(1); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule_at(ns(10), [&] { order.push_back(3); });
+  q.schedule_at(ns(5), [&] { order.push_back(0); });
+  q.schedule_at(ns(10), seq, [&] { order.push_back(2); });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, ReservedSeqMayBeUsedFromALaterEvent) {
+  // The rank is reserved at t=0 and used by an event that runs at t=10,
+  // as a re-queued timer does: at t=20 it still runs after the event
+  // scheduled before the reservation and before the one scheduled after.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(ns(20), [&] { order.push_back(1); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule_at(ns(20), [&] { order.push_back(3); });
+  q.schedule_at(ns(10), [&] {
+    order.push_back(0);
+    q.schedule_at(ns(20), seq, [&] { order.push_back(2); });
+  });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, LargeCaptureSurvivesSchedulingManyEventsFromItsRun) {
+  // The running callback is invoked in its slot; scheduling more than a
+  // chunk's worth of events from inside it must not move it (ASan
+  // reports a use-after-free if its storage is relocated or reused).
+  EventQueue q;
+  std::array<std::uint64_t, 8> payload{};
+  for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = 1000 + i;
+  auto shared = std::make_shared<int>(7);
+  std::uint64_t sum = 0;
+  int fired = 0;
+  auto big = [&q, &sum, &fired, payload, shared] {
+    for (std::size_t i = 0; i < 3 * EventQueue::kChunkSlots; ++i) {
+      q.schedule_in(ns(1) + static_cast<TimePs>(i), [&fired] { ++fired; });
+    }
+    for (const std::uint64_t v : payload) sum += v;
+    sum += static_cast<std::uint64_t>(*shared);
+  };
+  static_assert(sizeof(big) > 96);
+  static_assert(EventQueue::Callback::fits_inline<decltype(big)>());
+  q.schedule_at(ns(1), std::move(big));
+  q.run_all();
+  EXPECT_EQ(sum, 8u * 1000u + 28u + 7u);
+  EXPECT_EQ(fired, static_cast<int>(3 * EventQueue::kChunkSlots));
+  EXPECT_EQ(shared.use_count(), 1);  // the closure was destroyed
+}
+
+TEST(EventQueue, PrebuiltCallbackIsMovedIn) {
+  EventQueue q;
+  int ran = 0;
+  EventQueue::Callback cb = [&ran] { ++ran; };
+  q.schedule_at(ns(3), std::move(cb));
+  EventQueue::Callback again = [&ran] { ran += 10; };
+  q.schedule_in(ns(4), std::move(again));
+  q.run_all();
+  EXPECT_EQ(ran, 11);
+  EXPECT_EQ(q.now(), ns(4));
 }
 
 TEST(ClockDomain, CycleConversions) {
