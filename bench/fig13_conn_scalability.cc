@@ -14,6 +14,7 @@
 // (tools/check_scale.py gates both in CI).
 #include <chrono>
 #include <memory>
+#include <vector>
 
 #include "common.hpp"
 #include "workload/size_model.hpp"
@@ -135,6 +136,9 @@ class ScaleIsland {
         tx_buf_(64 * 1024),
         dp_(dom, scale_config(conns), null_host()) {
     dp_.set_local(mac(0xA0), net::make_ip(10, 0, id_ + 1, 1));
+    // Socket buffers start uninitialised, and the rig's TX doorbells send
+    // from this ring without writing it: give it defined bytes once.
+    tx_buf_.write(0, std::vector<std::uint8_t>(tx_buf_.size()));
   }
 
   // Everything runs as domain events: arm() only schedules the seed.

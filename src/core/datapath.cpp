@@ -817,7 +817,7 @@ void Datapath::stage_dma(const SegCtxPtr& ctx) {
       }
     };
     if (len > 0) {
-      host::PayloadBuf* buf = rec != nullptr ? rec->rx_buf : nullptr;
+      host::PayloadBuf::Pin buf(rec != nullptr ? rec->rx_buf : nullptr);
       const std::uint64_t pos = snap.rx_write_pos;
       const std::uint32_t trim = snap.payload_trim;
       auto pkt = ctx->pkt;
@@ -829,8 +829,9 @@ void Datapath::stage_dma(const SegCtxPtr& ctx) {
         // Software copy on the DMA-module core (x86/BlueField ports).
         graph_->charge_dma_copy(copy_cost);
       }
-      dma_.issue(len + 64, [buf, pos, trim, len, pkt, finish] {
-        if (buf != nullptr) {
+      dma_.issue(len + 64, [buf = std::move(buf), pos, trim, len, pkt,
+                            finish] {
+        if (buf) {
           buf->write(pos, std::span<const std::uint8_t>(
                               pkt->payload.data() + trim, len));
         }
@@ -847,7 +848,7 @@ void Datapath::stage_dma(const SegCtxPtr& ctx) {
   if (ctx->kind == SegCtx::Kind::Tx && ctx->pkt) {
     const std::uint32_t len = snap.tx_len;
     ConnRecord* rec = table_.get(ctx->conn_idx);
-    host::PayloadBuf* buf = rec != nullptr ? rec->tx_buf : nullptr;
+    host::PayloadBuf::Pin buf(rec != nullptr ? rec->tx_buf : nullptr);
     auto pkt = ctx->pkt;
     const std::uint64_t pos = snap.tx_read_pos;
     const std::uint32_t copy_cost =
@@ -856,8 +857,8 @@ void Datapath::stage_dma(const SegCtxPtr& ctx) {
     if (copy_cost > 0) {
       graph_->charge_dma_copy(copy_cost);
     }
-    dma_.issue(len + 64, [this, ctx, buf, pkt, pos, len] {
-      if (len > 0 && buf != nullptr) {
+    dma_.issue(len + 64, [this, ctx, buf = std::move(buf), pkt, pos, len] {
+      if (len > 0 && buf) {
         pkt->payload.resize(len);
         buf->read(pos, pkt->payload);
       }

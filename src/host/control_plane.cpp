@@ -76,6 +76,7 @@ void ControlPlane::handshake_timer(ConnId conn, std::uint64_t gen) {
     if (++c.syn_tries > cfg_.syn_retries) {
       pending_.erase(c.tuple);
       c.state = CState::Dead;
+      if (lib_ != nullptr) lib_->on_aborted(conn);
       return;
     }
     send_synack(conn);
@@ -119,7 +120,7 @@ void ControlPlane::install(ConnId conn, std::uint32_t remote_win) {
   ins.remote_win = remote_win;
   ins.mss = cfg_.mss;
   if (lib_ != nullptr) {
-    LibToe::SockBufs* bufs = lib_->alloc_bufs(conn);
+    LibToe::SockBufs* bufs = lib_->bind_bufs(conn);
     ins.rx_buf = bufs->rx.get();
     ins.tx_buf = bufs->tx.get();
     ins.context_id = lib_->context_id();

@@ -64,7 +64,9 @@ std::size_t LibToe::send(ConnId c, std::span<const std::uint8_t> data) {
 
 std::size_t LibToe::recv(ConnId c, std::span<std::uint8_t> out) {
   Sock* s = sock(c);
-  if (s == nullptr) return 0;
+  // Released buffers: an RX DMA that completed after teardown may still
+  // prompt the app to read a socket it already closed.
+  if (s == nullptr || !s->bufs.rx) return 0;
   charge_sockop();
   const std::size_t n =
       std::min<std::size_t>(out.size(), s->rx_readable);
@@ -99,11 +101,15 @@ std::size_t LibToe::tx_space(ConnId c) const {
 
 void LibToe::close(ConnId c) {
   Sock* s = sock(c);
-  if (s == nullptr || !s->open) return;
-  charge_sockop();
-  s->open = false;
-  post_hc(CtxDescType::Fin, c, 0);
-  cp_.app_close(c);
+  if (s == nullptr) return;
+  s->app_closed = true;
+  if (s->open) {
+    charge_sockop();
+    s->open = false;
+    post_hc(CtxDescType::Fin, c, 0);
+    cp_.app_close(c);
+  }
+  if (s->dead) release_bufs(*s);
 }
 
 net::Ipv4Addr LibToe::local_ip() const { return cp_.ip(); }
@@ -142,11 +148,26 @@ LibToe::SockBufs* LibToe::alloc_bufs(ConnId conn) {
   if (socks_.size() <= conn) socks_.resize(conn + 1);
   if (!socks_[conn]) socks_[conn] = std::make_unique<Sock>();
   Sock& s = *socks_[conn];
+  s.bufs.rx = PayloadBuf::make(cfg_.sockbuf_bytes);
+  s.bufs.tx = PayloadBuf::make(cfg_.sockbuf_bytes);
+  live_bufs_ += 2;
+  allocated_bufs_ += 2;
+  return bind_bufs(conn);
+}
+
+LibToe::SockBufs* LibToe::bind_bufs(ConnId conn) {
+  Sock& s = *socks_[conn];
+  SockBufs bufs = std::move(s.bufs);
   s = Sock{};
-  s.bufs.rx = std::make_unique<PayloadBuf>(cfg_.sockbuf_bytes);
-  s.bufs.tx = std::make_unique<PayloadBuf>(cfg_.sockbuf_bytes);
+  s.bufs = std::move(bufs);
   s.tx_credits = cfg_.sockbuf_bytes;
   return &s.bufs;
+}
+
+void LibToe::release_bufs(Sock& s) {
+  if (!s.bufs.rx) return;
+  s.bufs = {};  // PayloadBuf::Release defers the free past in-flight DMA
+  live_bufs_ -= 2;
 }
 
 void LibToe::on_accepted(ConnId conn) {
@@ -157,7 +178,11 @@ void LibToe::on_accepted(ConnId conn) {
 
 void LibToe::on_connected(ConnId conn, bool ok) {
   Sock* s = sock(conn);
-  if (s != nullptr) s->open = ok;
+  if (s != nullptr) {
+    s->open = ok;
+    // A failed connect never opened: the app has nothing to close.
+    if (!ok) release_bufs(*s);
+  }
   if (cbs_.on_connected) cbs_.on_connected(conn, ok);
 }
 
@@ -169,6 +194,12 @@ void LibToe::on_closed(ConnId conn) {
     if (cbs_.on_close) cbs_.on_close(conn);
   }
   s->open = false;
+  s->dead = true;
+  if (s->app_closed) release_bufs(*s);
+}
+
+void LibToe::on_aborted(ConnId conn) {
+  if (Sock* s = sock(conn)) release_bufs(*s);
 }
 
 }  // namespace flextoe::host

@@ -55,18 +55,31 @@ class LibToe final : public tcp::StackIface {
   void on_notify(const CtxDesc& desc);
 
   // ---- Control-plane callbacks ----
+  //
+  // Buffer lifecycle: a connection's pair is allocated once, when its
+  // handshake starts (alloc_bufs), handed to the data path when the
+  // handshake completes (bind_bufs), and released once the connection
+  // is dead and the app has closed it (or never saw it open).
   struct SockBufs {
-    std::unique_ptr<PayloadBuf> rx;
-    std::unique_ptr<PayloadBuf> tx;
+    PayloadBuf::Owner rx;
+    PayloadBuf::Owner tx;
   };
   // Allocates socket buffers for a connection being established.
   SockBufs* alloc_bufs(tcp::ConnId conn);
+  // Resets the socket state of a connection whose handshake completed
+  // and returns the buffers alloc_bufs made for it.
+  SockBufs* bind_bufs(tcp::ConnId conn);
   void on_accepted(tcp::ConnId conn);
   void on_connected(tcp::ConnId conn, bool ok);
   void on_closed(tcp::ConnId conn);
+  // A passive open died before the app saw it.
+  void on_aborted(tcp::ConnId conn);
 
   std::uint16_t context_id() const { return cfg_.context_id; }
   std::uint64_t doorbells() const { return doorbells_; }
+  // Socket buffers held now, and allocated since construction.
+  std::size_t live_bufs() const { return live_bufs_; }
+  std::uint64_t allocated_bufs() const { return allocated_bufs_; }
 
  private:
   struct Sock {
@@ -81,10 +94,13 @@ class LibToe final : public tcp::StackIface {
     bool open = false;
     bool eof = false;
     bool closed_notified = false;
+    bool app_closed = false;  // close() was called
+    bool dead = false;        // the control plane tore the connection down
   };
 
   Sock* sock(tcp::ConnId c);
   const Sock* sock(tcp::ConnId c) const;
+  void release_bufs(Sock& s);
   void post_hc(CtxDescType type, tcp::ConnId conn, std::uint32_t a);
   void charge_sockop();
 
@@ -96,6 +112,8 @@ class LibToe final : public tcp::StackIface {
   tcp::StackCallbacks cbs_;
   std::vector<std::unique_ptr<Sock>> socks_;
   std::uint64_t doorbells_ = 0;
+  std::size_t live_bufs_ = 0;
+  std::uint64_t allocated_bufs_ = 0;
 };
 
 }  // namespace flextoe::host

@@ -5,7 +5,7 @@
 namespace flextoe::sim {
 
 TimePs CpuPool::run(std::uint64_t cycles, CpuCat cat, TimePs not_before,
-                    std::function<void()> cb) {
+                    Fn cb) {
   cycles_[static_cast<std::size_t>(cat)] += cycles;
 
   // Earliest-available core.

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -37,13 +36,16 @@ class CpuPool {
   // Fraction of each work item that serializes on a global lock.
   void set_serial_fraction(double f) { serial_frac_ = f; }
 
+  // The completion callback, moved into the event queue as built: the
+  // per-packet closures of the software stacks stay off the heap.
+  using Fn = EventQueue::Callback;
+
   // Executes `cycles` of work on the earliest-available core, starting no
   // earlier than `not_before` (used to serialize per-connection work),
   // then invokes `cb`. Returns the completion time.
-  TimePs run(std::uint64_t cycles, CpuCat cat, TimePs not_before,
-             std::function<void()> cb);
+  TimePs run(std::uint64_t cycles, CpuCat cat, TimePs not_before, Fn cb);
 
-  TimePs run(std::uint64_t cycles, CpuCat cat, std::function<void()> cb) {
+  TimePs run(std::uint64_t cycles, CpuCat cat, Fn cb) {
     return run(cycles, cat, 0, std::move(cb));
   }
 

@@ -6,22 +6,20 @@
 namespace flextoe::tcp {
 
 void ByteRing::copy_in(std::size_t pos, std::span<const std::uint8_t> data) {
-  const std::size_t cap = buf_.size();
-  pos %= cap;
-  const std::size_t first = std::min(data.size(), cap - pos);
-  std::memcpy(buf_.data() + pos, data.data(), first);
+  pos %= cap_;
+  const std::size_t first = std::min(data.size(), cap_ - pos);
+  std::memcpy(buf_.get() + pos, data.data(), first);
   if (first < data.size()) {
-    std::memcpy(buf_.data(), data.data() + first, data.size() - first);
+    std::memcpy(buf_.get(), data.data() + first, data.size() - first);
   }
 }
 
 void ByteRing::copy_out(std::size_t pos, std::span<std::uint8_t> out) const {
-  const std::size_t cap = buf_.size();
-  pos %= cap;
-  const std::size_t first = std::min(out.size(), cap - pos);
-  std::memcpy(out.data(), buf_.data() + pos, first);
+  pos %= cap_;
+  const std::size_t first = std::min(out.size(), cap_ - pos);
+  std::memcpy(out.data(), buf_.get() + pos, first);
   if (first < out.size()) {
-    std::memcpy(out.data() + first, buf_.data(), out.size() - first);
+    std::memcpy(out.data() + first, buf_.get(), out.size() - first);
   }
 }
 
@@ -48,7 +46,7 @@ std::size_t ByteRing::read(std::span<std::uint8_t> out) {
   const std::size_t n = std::min(out.size(), used_);
   if (n == 0) return 0;
   copy_out(head_, out.first(n));
-  head_ = (head_ + n) % buf_.size();
+  head_ = (head_ + n) % cap_;
   used_ -= n;
   return n;
 }
@@ -63,7 +61,7 @@ std::size_t ByteRing::peek(std::size_t offset,
 
 void ByteRing::discard(std::size_t n) {
   n = std::min(n, used_);
-  head_ = (head_ + n) % buf_.size();
+  head_ = (head_ + n) % cap_;
   used_ -= n;
 }
 

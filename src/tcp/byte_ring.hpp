@@ -1,24 +1,28 @@
 // Fixed-capacity circular byte buffer used for per-socket payload
 // buffers (PAYLOAD-BUFs). Supports out-of-place writes at an offset
 // beyond the valid region — this is how FlexTOE merges out-of-order
-// segments directly in the host receive buffer (paper §3.1.3).
+// segments directly in the host receive buffer (paper §3.1.3). Storage
+// is left uninitialised: only bytes written through write()/write_at()
+// are ever read back.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
-#include <vector>
 
 namespace flextoe::tcp {
 
 class ByteRing {
  public:
-  explicit ByteRing(std::size_t capacity) : buf_(capacity) {}
+  explicit ByteRing(std::size_t capacity)
+      : buf_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity)),
+        cap_(capacity) {}
 
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return cap_; }
   std::size_t used() const { return used_; }
-  std::size_t free_space() const { return buf_.size() - used_; }
+  std::size_t free_space() const { return cap_ - used_; }
   bool empty() const { return used_ == 0; }
 
   // Appends data at the tail (valid region grows). Returns bytes written.
@@ -51,7 +55,8 @@ class ByteRing {
   void copy_in(std::size_t pos, std::span<const std::uint8_t> data);
   void copy_out(std::size_t pos, std::span<std::uint8_t> out) const;
 
-  std::vector<std::uint8_t> buf_;
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t cap_;
   std::size_t head_ = 0;  // index of first valid byte
   std::size_t used_ = 0;  // valid bytes
 };

@@ -6,6 +6,8 @@
 
 #include "app/kv.hpp"
 #include "app/rpc_app.hpp"
+#include "host/flextoe_nic.hpp"
+#include "host/libtoe.hpp"
 
 namespace flextoe::app {
 namespace {
@@ -127,6 +129,95 @@ TEST(Testbed, MultipleServersShareSwitch) {
   tb.run_for(sim::ms(30));
   EXPECT_GT(c1.completed(), 100u);
   EXPECT_GT(c2.completed(), 100u);
+}
+
+// Socket-buffer lifecycle over two FlexTOE nodes: libTOE allocates one
+// RX/TX pair per connection when its handshake starts, the data path
+// binds that same pair, and the pair is released once the connection is
+// dead and the app has closed it.
+struct TwoToeNodes {
+  Testbed tb{6};
+  Testbed::Node& server = tb.add_flextoe_node({.cores = 1});
+  Testbed::Node& client = tb.add_flextoe_node({.cores = 1});
+  host::LibToe& slib = server.toe->libtoe();
+  host::LibToe& clib = client.toe->libtoe();
+  std::size_t connected = 0;
+  std::size_t accepted = 0;
+
+  explicit TwoToeNodes(bool close_when_connected) {
+    tcp::StackCallbacks scbs;
+    scbs.on_accept = [this](tcp::ConnId) { ++accepted; };
+    scbs.on_close = [this](tcp::ConnId c) { slib.close(c); };
+    slib.set_callbacks(std::move(scbs));
+    slib.listen(80);
+    tcp::StackCallbacks ccbs;
+    ccbs.on_connected = [this, close_when_connected](tcp::ConnId c,
+                                                     bool ok) {
+      if (!ok) return;
+      ++connected;
+      if (close_when_connected) clib.close(c);
+    };
+    ccbs.on_close = [this](tcp::ConnId c) { clib.close(c); };
+    clib.set_callbacks(std::move(ccbs));
+  }
+};
+
+TEST(SocketBufs, OnePairPerHandshake) {
+  TwoToeNodes t(/*close_when_connected=*/false);
+  constexpr std::size_t kConns = 8;
+  for (std::size_t i = 0; i < kConns; ++i) t.clib.connect(t.server.ip, 80);
+  // Active side: the pair exists from connect() on.
+  EXPECT_EQ(t.clib.live_bufs(), 2 * kConns);
+  t.tb.run_for(sim::ms(2));
+  ASSERT_EQ(t.connected, kConns);
+  ASSERT_EQ(t.accepted, kConns);
+  for (host::LibToe* lib : {&t.clib, &t.slib}) {
+    EXPECT_EQ(lib->live_bufs(), 2 * kConns);
+    EXPECT_EQ(lib->allocated_bufs(), 2 * kConns);  // none replaced
+  }
+}
+
+TEST(SocketBufs, ChurnReturnsToIdle) {
+  TwoToeNodes t(/*close_when_connected=*/true);
+  constexpr std::size_t kCycles = 6;
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    t.clib.connect(t.server.ip, 80);
+    t.tb.run_for(sim::ms(1));
+  }
+  // Past every TIME_WAIT (1 ms): all connections are dead and closed.
+  t.tb.run_for(sim::ms(5));
+  ASSERT_EQ(t.connected, kCycles);
+  ASSERT_EQ(t.accepted, kCycles);
+  for (host::LibToe* lib : {&t.clib, &t.slib}) {
+    EXPECT_EQ(lib->live_bufs(), 0u);
+    EXPECT_EQ(lib->allocated_bufs(), 2 * kCycles);
+  }
+}
+
+TEST(SocketBufs, FailedConnectFreesAtOnce) {
+  TwoToeNodes t(/*close_when_connected=*/false);
+  // Nobody listens on port 81: the server answers the SYN with a RST.
+  t.clib.connect(t.server.ip, 81);
+  EXPECT_EQ(t.clib.live_bufs(), 2u);
+  t.tb.run_for(sim::ms(1));
+  EXPECT_EQ(t.connected, 0u);
+  EXPECT_EQ(t.clib.live_bufs(), 0u);
+  EXPECT_EQ(t.slib.allocated_bufs(), 0u);
+}
+
+TEST(SocketBufs, AbortedPassiveOpenFrees) {
+  TwoToeNodes t(/*close_when_connected=*/false);
+  // A SYN from a host that never answers the SYN-ACK.
+  const net::Ipv4Addr ghost = net::make_ip(10, 0, 0, 99);
+  t.server.toe->datapath().deliver(net::make_tcp_packet(
+      Testbed::mac_for(ghost), Testbed::mac_for(t.server.ip), ghost,
+      t.server.ip, 5555, 80, 1000, 0, net::tcpflag::kSyn, {}));
+  t.tb.run_for(sim::ms(1));
+  EXPECT_EQ(t.slib.live_bufs(), 2u);
+  t.tb.run_for(sim::ms(200));  // past every SYN-ACK retry
+  EXPECT_EQ(t.accepted, 0u);
+  EXPECT_EQ(t.slib.live_bufs(), 0u);
+  EXPECT_EQ(t.slib.allocated_bufs(), 2u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 // no host-interface callback fires after the NIC is gone.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -29,11 +30,17 @@ struct Rig {
   int notifies = 0;
   int to_controls = 0;
   tcp::ConnId conn = tcp::kInvalidConn;
+  std::function<void()> on_control;  // runs on each control segment
 
-  explicit Rig(DatapathConfig cfg) {
+  // The flow uses `rx_buf`/`tx_buf` when given, else the Rig's own.
+  explicit Rig(DatapathConfig cfg, host::PayloadBuf* rx_buf = nullptr,
+               host::PayloadBuf* tx_buf = nullptr) {
     Datapath::HostIface host;
     host.notify = [this](const host::CtxDesc&) { ++notifies; };
-    host.to_control = [this](const net::PacketPtr&) { ++to_controls; };
+    host.to_control = [this](const net::PacketPtr&) {
+      ++to_controls;
+      if (on_control) on_control();
+    };
     host.peer_fin = [](tcp::ConnId) {};
     dp.emplace(ev, cfg, host);
     dp->set_local(net::MacAddr::from_u64(0x02AA), net::make_ip(10, 0, 0, 1));
@@ -45,18 +52,19 @@ struct Rig {
     ins.peer_mac = net::MacAddr::from_u64(0x02BB);
     ins.iss = 1000;
     ins.irs = 2000;
-    ins.rx_buf = &rx;
-    ins.tx_buf = &tx;
+    ins.rx_buf = rx_buf != nullptr ? rx_buf : &rx;
+    ins.tx_buf = tx_buf != nullptr ? tx_buf : &tx;
     conn = dp->install_flow(ins);
   }
 
-  // One in-order data segment for the installed flow.
-  net::PacketPtr data_segment(std::uint32_t seq_off, std::uint32_t len) {
+  // One in-order segment from the peer for the installed flow.
+  net::PacketPtr data_segment(
+      std::uint32_t seq_off, std::uint32_t len,
+      std::uint8_t flags = net::tcpflag::kAck | net::tcpflag::kPsh) {
     return net::make_tcp_packet(
         net::MacAddr::from_u64(0x02BB), net::MacAddr::from_u64(0x02AA),
         net::make_ip(10, 0, 0, 2), net::make_ip(10, 0, 0, 1), 9999, 80,
-        2001 + seq_off, 1001, net::tcpflag::kAck | net::tcpflag::kPsh,
-        std::vector<std::uint8_t>(len, 0x42));
+        2001 + seq_off, 1001, flags, std::vector<std::uint8_t>(len, 0x42));
   }
 
   void push_hc(host::CtxDescType type, std::uint32_t a) {
@@ -143,6 +151,48 @@ TEST(DatapathLifetime, PooledContextsOutliveDatapath) {
   r.dp.reset();
   ASSERT_FALSE(r.ev.empty());  // contexts still referenced from events
   r.ev.run_all();
+}
+
+// A RST tears the flow down while its RX and TX payload DMAs are in
+// flight, and the owner drops both socket buffers there and then, as
+// libTOE does for a connection that is dead and closed. The DMA pins
+// keep the buffers alive until both completions have run (under the
+// Sanitize preset a write into or read from a freed buffer aborts).
+TEST(DatapathLifetime, RstTeardownWithPayloadDmaInFlight) {
+  DatapathConfig cfg = agilio_cx40_config();
+  cfg.dma.latency = sim::us(20);  // DMAs outlast the RST's trip
+  auto rx = host::PayloadBuf::make(1 << 16);
+  auto tx = host::PayloadBuf::make(1 << 16);
+  Rig r(cfg, rx.get(), tx.get());
+  bool torn_down = false;
+  r.on_control = [&] {
+    // Both payload DMAs are still in flight.
+    EXPECT_EQ(rx->pins(), 1u);
+    EXPECT_EQ(tx->pins(), 1u);
+    EXPECT_EQ(r.dp->tx_segments(), 0u);
+    r.dp->remove_flow(r.conn);
+    rx.reset();
+    tx.reset();
+    torn_down = true;
+  };
+
+  const std::vector<std::uint8_t> out(512, 0x17);
+  tx->write(0, out);
+  r.push_hc(host::CtxDescType::TxDoorbell, 512);
+  while (tx->pins() == 0 && !r.ev.empty()) r.ev.step();
+  ASSERT_EQ(tx->pins(), 1u);  // TX payload DMA issued
+  r.dp->deliver(r.data_segment(0, 512));
+  while (rx->pins() == 0 && !r.ev.empty()) r.ev.step();
+  ASSERT_EQ(rx->pins(), 1u);  // RX payload DMA issued
+  ASSERT_FALSE(torn_down);
+
+  r.dp->deliver(r.data_segment(512, 0, net::tcpflag::kRst));
+  r.ev.run_all();
+  EXPECT_TRUE(torn_down);
+  EXPECT_EQ(r.to_controls, 1);
+  // Both completions ran after the teardown.
+  EXPECT_EQ(r.dp->tx_segments(), 1u);
+  EXPECT_GE(r.dp->acks_sent(), 1u);
 }
 
 }  // namespace

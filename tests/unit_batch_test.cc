@@ -314,6 +314,35 @@ TEST(ByteRing, PeekDoesNotConsume) {
   EXPECT_EQ(ring.used(), 4u);
 }
 
+// Storage is not initialised, so every byte a reader sees must be one a
+// writer put there: OOO placement and peeks across the wrap point.
+TEST(ByteRing, OooPlacementAndPeekAcrossWrap) {
+  tcp::ByteRing ring(16);
+  std::vector<std::uint8_t> skip(11, 0);
+  ring.write(skip);
+  ring.discard(11);  // head = tail = 11
+  // The segment after a 3-byte hole lands across the wrap (14..18).
+  const std::vector<std::uint8_t> ooo{14, 15, 16, 17, 18};
+  ring.write_at(3, ooo);
+  EXPECT_EQ(ring.used(), 0u);
+  const std::vector<std::uint8_t> gap{11, 12, 13};
+  EXPECT_EQ(ring.write(gap), 3u);
+  ring.advance_tail(ooo.size());
+  ASSERT_EQ(ring.used(), 8u);
+  std::uint8_t mid[4];
+  EXPECT_EQ(ring.peek(3, mid), 4u);  // physical 14, 15, 0, 1
+  EXPECT_EQ(std::vector<std::uint8_t>(mid, mid + 4),
+            (std::vector<std::uint8_t>{14, 15, 16, 17}));
+  std::uint8_t tail[8];
+  EXPECT_EQ(ring.peek(6, tail), 2u);  // clipped at the valid region
+  EXPECT_EQ(tail[0], 17);
+  EXPECT_EQ(tail[1], 18);
+  std::vector<std::uint8_t> all(8);
+  EXPECT_EQ(ring.read(all), 8u);
+  EXPECT_EQ(all, (std::vector<std::uint8_t>{11, 12, 13, 14, 15, 16, 17, 18}));
+  EXPECT_TRUE(ring.empty());
+}
+
 // ---------------------------------------------------------- payload buf
 
 TEST(PayloadBuf, AbsolutePositionsWrap) {
@@ -326,6 +355,24 @@ TEST(PayloadBuf, AbsolutePositionsWrap) {
   // Same physical bytes visible at pos 60 + k*64.
   buf.read(60 + 64 * 3, out);
   EXPECT_EQ(out, d);
+}
+
+// RX payload DMAs land out of order at absolute positions that straddle
+// the wrap point; the host then reads the whole run back from the middle.
+TEST(PayloadBuf, OutOfOrderWritesAcrossWrap) {
+  host::PayloadBuf buf(32);
+  const std::uint64_t base = 32 * 5 + 26;  // physical offset 26
+  std::vector<std::uint8_t> seg1(8), seg2(8);
+  for (std::uint8_t i = 0; i < 8; ++i) {
+    seg1[i] = static_cast<std::uint8_t>(0x10 + i);
+    seg2[i] = static_cast<std::uint8_t>(0x20 + i);
+  }
+  buf.write(base + 8, seg2);  // second segment first: physical 2..9
+  buf.write(base, seg1);      // then the hole: physical 26..31, 0..1
+  std::vector<std::uint8_t> out(12);
+  buf.read(base + 2, out);
+  for (std::uint8_t i = 0; i < 6; ++i) EXPECT_EQ(out[i], 0x12 + i);
+  for (std::uint8_t i = 0; i < 6; ++i) EXPECT_EQ(out[6 + i], 0x20 + i);
 }
 
 // -------------------------------------------------------------- framing
